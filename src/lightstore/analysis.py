@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.special import ndtr, stdtrit
 
 from .storage import PhotodiodeTrace
 
@@ -438,9 +439,7 @@ def _chi2_scaled(fit: LineFit) -> LineFit:
 
 def _t_small_sample_factor(dof: int) -> float:
     """Student-t over normal 68.27% quantile ratio for the given dof."""
-    from scipy.stats import norm, t
-
-    return float(t.ppf(norm.cdf(1.0), dof))
+    return float(stdtrit(dof, ndtr(1.0)))
 
 
 @dataclass(frozen=True)

@@ -426,15 +426,3 @@ def write_spectrum_csv(points: list[SpectrumPoint], path: "str | Path") -> None:
         writer.writerow(["delta_r_hz", "transmission", "absorption_proxy"])
         for p in points:
             writer.writerow([repr(p.delta_r_hz), repr(p.transmission), repr(p.absorption_proxy)])
-
-
-def read_spectrum_csv(path: "str | Path") -> list[SpectrumPoint]:
-    points = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["delta_r_hz", "transmission", "absorption_proxy"]:
-            raise ValueError(f"unexpected spectrum header {header}")
-        for row in reader:
-            points.append(SpectrumPoint(float(row[0]), float(row[1]), float(row[2])))
-    return points

@@ -289,9 +289,6 @@ class PulseSequence:
                 return seg
         raise KeyError(f"sequence has no phase {name!r}")
 
-    def has_phase(self, name: str) -> bool:
-        return any(seg.name == name for seg in self.segments)
-
     @property
     def t_start(self) -> float:
         return self.segments[0].t_start

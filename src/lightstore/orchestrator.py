@@ -18,7 +18,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,10 @@ __all__ = [
     "STUDY_KINDS",
 ]
 
-STUDY_KINDS = ("dark_resonance", "spectroscopy", "control_sweep", "signal_sweep", "fit_only")
+STUDY_KINDS = ("dark_resonance", "spectroscopy", "control_sweep", "signal_sweep")
+# Value keys of a detuning point and of a sweep point, in summary.csv order.
+POINT_KEYS = ("f_input_hz", "f_input_err_hz", "f_retrieved_hz", "f_retrieved_err_hz")
+SHIFT_KEYS = ("delta_f_ac_hz", "delta_f_ac_err_hz")
 
 
 class OrchestrationError(RuntimeError):
@@ -152,7 +155,7 @@ class PointRecord:
 
     index: int
     x: float
-    values: tuple[tuple[str, float], ...] = ()
+    values: dict[str, float] = field(default_factory=dict)
     error: str | None = None
     fits: tuple[tuple[str, BeatFitResult], ...] = ()
     trace_arrays: tuple[np.ndarray, ...] = ()
@@ -160,12 +163,6 @@ class PointRecord:
     @property
     def excluded(self) -> bool:
         return self.error is not None
-
-    def value(self, key: str) -> float:
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise KeyError(key)
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,6 @@ class RunRecord:
     version: str
     started_at: str
     elapsed_s: float
-    trace_paths: tuple[str, ...] = ()
 
 
 def default_windows(
@@ -200,66 +196,69 @@ def default_windows(
     return w_in, w_ret
 
 
-def _weighted_mean(values: np.ndarray, sigmas: np.ndarray) -> tuple[float, float]:
-    w = 1.0 / np.maximum(sigmas, SIGMA_FLOOR_HZ) ** 2
+def _weighted_mean(fits: "list[BeatFitResult]") -> tuple[float, float]:
+    """Inverse-variance mean of the fitted beat frequencies, and its error."""
+    values = np.array([f.f_b_hz for f in fits])
+    w = 1.0 / np.maximum(np.array([f.f_b_err_hz for f in fits]), SIGMA_FLOOR_HZ) ** 2
     mean = float(np.sum(w * values) / np.sum(w))
     return mean, float(1.0 / math.sqrt(np.sum(w)))
 
 
-def _measure_point(args: tuple) -> PointRecord:
-    """Synthesize the repetitions of one detuning point and fit both epochs.
+def _analyze_point(
+    index: int,
+    x: float,
+    traces: "list[PhotodiodeTrace]",
+    w_in: tuple[float, float],
+    w_ret: tuple[float, float],
+    average_mode: str,
+) -> PointRecord:
+    """Fit one detuning point's traces; fresh runs and re-analysis both call this.
 
-    Module-level so a process pool can pickle it; returns everything the
-    parent needs (including trace arrays for persistence).
+    average-traces fits the mean of the traces (the mean of one re-read
+    trace is that trace); fit-then-average fits each trace and takes the
+    weighted mean of the frequencies.  A FitError excludes the point.  The
+    record keeps the arrays of the traces it fitted, excluded or not.
+    """
+    if average_mode == AVERAGE_TRACES:
+        traces = [replace(traces[0], samples=np.mean([tr.samples for tr in traces], axis=0))]
+    arrays = tuple(tr.samples for tr in traces)
+    try:
+        pairs = [(fit_beat(tr, w_in, with_envelope=False), fit_beat(tr, w_ret, with_envelope=True))
+                 for tr in traces]
+    except FitError as exc:
+        return PointRecord(index=index, x=x, error=f"{type(exc).__name__}: {exc}",
+                           trace_arrays=arrays)
+    if average_mode == AVERAGE_TRACES:
+        [(fit_in, fit_ret)] = pairs
+        fits = (("input", fit_in), ("retrieved", fit_ret))
+        values = (fit_in.f_b_hz, fit_in.f_b_err_hz, fit_ret.f_b_hz, fit_ret.f_b_err_hz)
+    else:
+        fits = tuple((f"{name}_rep{rep}", fit) for rep, pair in enumerate(pairs)
+                     for name, fit in zip(("input", "retrieved"), pair))
+        values = (*_weighted_mean([fi for fi, _ in pairs]),
+                  *_weighted_mean([fr for _, fr in pairs]))
+    return PointRecord(index=index, x=x, values=dict(zip(POINT_KEYS, values)),
+                       fits=fits, trace_arrays=arrays)
+
+
+def _measure_point(args: tuple) -> PointRecord:
+    """Synthesize the repetitions of one detuning point and analyze them.
+
+    Module-level so a process pool can pickle it; the record carries the
+    trace arrays back to the parent only when the run persists them.
     """
     (index, delta_r, config, sequence, study, seed_base, keep_traces) = args
-    try:
-        traces = []
-        for rep in range(study.repetitions):
-            cfg = replace(
-                config, delta_r_hz=delta_r, rng_seed=point_seed(seed_base, index, rep)
-            )
-            traces.append(simulate_storage(cfg, sequence))
-        w_in, w_ret = default_windows(sequence, study)
-        fits: list[tuple[str, BeatFitResult]] = []
-        if study.average_mode == AVERAGE_TRACES:
-            averaged = PhotodiodeTrace(
-                t0_s=traces[0].t0_s,
-                sample_rate_hz=traces[0].sample_rate_hz,
-                samples=np.mean([tr.samples for tr in traces], axis=0),
-                phase_markers=traces[0].phase_markers,
-            )
-            fit_in = fit_beat(averaged, w_in, with_envelope=False)
-            fit_ret = fit_beat(averaged, w_ret, with_envelope=True)
-            fits = [("input", fit_in), ("retrieved", fit_ret)]
-            f_in, f_in_err = fit_in.f_b_hz, fit_in.f_b_err_hz
-            f_ret, f_ret_err = fit_ret.f_b_hz, fit_ret.f_b_err_hz
-            arrays = (averaged.samples,) if keep_traces else ()
-        else:
-            per_in, per_ret = [], []
-            for rep, tr in enumerate(traces):
-                fi = fit_beat(tr, w_in, with_envelope=False)
-                fr = fit_beat(tr, w_ret, with_envelope=True)
-                fits += [(f"input_rep{rep}", fi), (f"retrieved_rep{rep}", fr)]
-                per_in.append((fi.f_b_hz, fi.f_b_err_hz))
-                per_ret.append((fr.f_b_hz, fr.f_b_err_hz))
-            f_in, f_in_err = _weighted_mean(*map(np.array, zip(*per_in)))
-            f_ret, f_ret_err = _weighted_mean(*map(np.array, zip(*per_ret)))
-            arrays = tuple(tr.samples for tr in traces) if keep_traces else ()
-        return PointRecord(
-            index=index,
-            x=delta_r,
-            values=(
-                ("f_input_hz", f_in),
-                ("f_input_err_hz", f_in_err),
-                ("f_retrieved_hz", f_ret),
-                ("f_retrieved_err_hz", f_ret_err),
-            ),
-            fits=tuple(fits),
-            trace_arrays=arrays,
+    traces = [
+        simulate_storage(
+            replace(config, delta_r_hz=delta_r, rng_seed=point_seed(seed_base, index, rep)),
+            sequence,
         )
-    except FitError as exc:
-        return PointRecord(index=index, x=delta_r, error=f"{type(exc).__name__}: {exc}")
+        for rep in range(study.repetitions)
+    ]
+    point = _analyze_point(
+        index, delta_r, traces, *default_windows(sequence, study), study.average_mode
+    )
+    return point if keep_traces else replace(point, trace_arrays=())
 
 
 def _map_points(plan: StudyPlan, tasks: list[tuple]) -> list[PointRecord]:
@@ -267,6 +266,18 @@ def _map_points(plan: StudyPlan, tasks: list[tuple]) -> list[PointRecord]:
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
             return list(pool.map(_measure_point, tasks))
     return [_measure_point(t) for t in tasks]
+
+
+def _spectroscopy_result(points: "tuple[PointRecord, ...]") -> SpectroscopyResult:
+    """Fit both frequency lines through the usable points and intersect them."""
+    surviving = [p for p in points if not p.excluded]
+    if len(surviving) < 3:
+        raise OrchestrationError(
+            f"only {len(surviving)} of {len(points)} points usable; need >= 3"
+        )
+    return SpectroscopyResult.from_points(
+        [SpectroscopyPoint(delta_r_hz=p.x, **p.values) for p in surviving]
+    )
 
 
 def _eit_window_estimate_hz(config: ExperimentConfig) -> float:
@@ -292,8 +303,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_result_csv(path: Path, entries: "tuple[tuple[str, float], ...]") -> None:
-    _write_rows_csv(path, ["key", "value"], [[k, _fmt(v)] for k, v in entries])
+def _write_summary_csv(
+    path: Path, points: "tuple[PointRecord, ...]", x_name: str, keys: tuple[str, ...]
+) -> None:
+    """One row per grid point; an excluded point has empty values and its error."""
+    _write_rows_csv(path, ["index", x_name, *keys, "excluded", "error"], [
+        [str(p.index), _fmt(p.x),
+         *([""] * len(keys) if p.excluded else [_fmt(p.values[k]) for k in keys]),
+         "1" if p.excluded else "0", p.error or ""]
+        for p in points
+    ])
 
 
 def _write_plot_xy(path: Path, xs, ys) -> None:
@@ -352,8 +371,9 @@ def _finish_run(
     summary: tuple[tuple[str, float], ...],
     t_start: float,
     started_at: str,
-    trace_paths: tuple[str, ...],
+    trace_paths: "list[str] | tuple" = (),
 ) -> RunRecord:
+    """Write result.csv, then run.json, and return the run's record."""
     record = RunRecord(
         kind=plan.kind,
         seed_base=plan.seed_base,
@@ -363,9 +383,10 @@ def _finish_run(
         version=__version__,
         started_at=started_at,
         elapsed_s=time.monotonic() - t_start,
-        trace_paths=trace_paths,
     )
     if plan.out_dir is not None:
+        _write_rows_csv(plan.out_dir / "result.csv", ["key", "value"],
+                        [[k, _fmt(v)] for k, v in summary])
         meta = {
             "kind": record.kind,
             "version": record.version,
@@ -374,7 +395,7 @@ def _finish_run(
             "elapsed_s": record.elapsed_s,
             "n_points": len(record.points),
             "n_excluded": sum(p.excluded for p in record.points),
-            "trace_paths": list(record.trace_paths),
+            "trace_paths": list(trace_paths),
         }
         with open(plan.out_dir / "run.json", "w") as fh:
             json.dump(meta, fh, indent=2)
@@ -385,21 +406,15 @@ def _finish_run(
 # -- studies -----------------------------------------------------------------
 
 
-def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
-    """Synthesize and fit one trace pair per Raman detuning, then intersect.
-
-    Per-point fit failures exclude the point and are reported in the
-    summary; fewer than three surviving points aborts the study.
-    """
-    if plan.kind != "spectroscopy":
-        raise ConfigurationError(f"plan kind {plan.kind!r} is not spectroscopy")
+def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str, list[tuple]]:
+    """Check the grid, start the run and build one pool task per detuning."""
     grid = plan.study.delta_r_grid_hz
     window_est = _eit_window_estimate_hz(plan.config)
     if max(abs(d) for d in grid) > window_est:
         warnings.warn(
             f"detuning grid extends past the estimated transparency window "
             f"({window_est:.0f} Hz)",
-            stacklevel=2,
+            stacklevel=3,
         )
     plan, t0, started = _start_run(plan)
     tasks = [
@@ -407,25 +422,14 @@ def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
          plan.out_dir is not None and plan.persist_traces)
         for i, d in enumerate(grid)
     ]
-    points = tuple(_map_points(plan, tasks))
+    return plan, t0, started, tasks
 
-    surviving = [p for p in points if not p.excluded]
-    if len(surviving) < 3:
-        raise OrchestrationError(
-            f"only {len(surviving)} of {len(points)} points usable; need >= 3"
-        )
-    result = SpectroscopyResult.from_points(
-        [
-            SpectroscopyPoint(
-                delta_r_hz=p.x,
-                f_input_hz=p.value("f_input_hz"),
-                f_input_err_hz=p.value("f_input_err_hz"),
-                f_retrieved_hz=p.value("f_retrieved_hz"),
-                f_retrieved_err_hz=p.value("f_retrieved_err_hz"),
-            )
-            for p in surviving
-        ]
-    )
+
+def _finish_spectroscopy(
+    plan: StudyPlan, t0: float, started: str, points: tuple[PointRecord, ...]
+) -> tuple[SpectroscopyResult, RunRecord]:
+    """Intersect the lines of the measured points and persist the run."""
+    result = _spectroscopy_result(points)
     summary = (
         ("input_slope", result.input_fit.slope),
         ("input_slope_err", result.input_fit.slope_err),
@@ -443,25 +447,9 @@ def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
 
     trace_paths: list[str] = []
     if plan.out_dir is not None:
-        rows = []
         for p in points:
-            if p.excluded:
-                rows.append([str(p.index), _fmt(p.x), "", "", "", "", "1", p.error])
-            else:
-                rows.append([
-                    str(p.index), _fmt(p.x),
-                    _fmt(p.value("f_input_hz")), _fmt(p.value("f_input_err_hz")),
-                    _fmt(p.value("f_retrieved_hz")), _fmt(p.value("f_retrieved_err_hz")),
-                    "0", "",
-                ])
             trace_paths += _persist_point(p, plan.out_dir / "points" / str(p.index), plan)
-        _write_rows_csv(
-            plan.out_dir / "summary.csv",
-            ["index", "delta_r_hz", "f_input_hz", "f_input_err_hz",
-             "f_retrieved_hz", "f_retrieved_err_hz", "excluded", "error"],
-            rows,
-        )
-        _write_result_csv(plan.out_dir / "result.csv", summary)
+        _write_summary_csv(plan.out_dir / "summary.csv", points, "delta_r_hz", POINT_KEYS)
         xs = [p.delta_r_hz for p in result.points]
         _write_plot_xy(plan.out_dir / "plotdata" / "input_points.csv",
                        xs, [p.f_input_hz for p in result.points])
@@ -472,63 +460,70 @@ def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
         _write_plot_xy(plan.out_dir / "plotdata" / "retrieved_line.csv",
                        *_line_endpoints(result.retrieved_fit, xs))
 
-    record = _finish_run(plan, points, summary, t0, started, tuple(trace_paths))
-    return result, record
+    return result, _finish_run(plan, points, summary, t0, started, trace_paths)
+
+
+def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
+    """Synthesize and fit one trace pair per Raman detuning, then intersect.
+
+    Per-point fit failures exclude the point and are reported in the
+    summary; fewer than three surviving points aborts the study.
+    """
+    if plan.kind != "spectroscopy":
+        raise ConfigurationError(f"plan kind {plan.kind!r} is not spectroscopy")
+    plan, t0, started, tasks = _prepare_spectroscopy(plan)
+    return _finish_spectroscopy(plan, t0, started, tuple(_map_points(plan, tasks)))
 
 
 def _run_shift_sweep(
-    plan: StudyPlan, vary: str
+    plan: StudyPlan, vary: str, summarize
 ) -> tuple[list[tuple[float, float, float]], dict[str, LineFit], RunRecord]:
     """Shared driver for the control/signal intensity sweeps.
 
-    Runs a nested spectroscopy per grid intensity and regresses the
-    extracted shift against intensity.  Returns the surviving
-    (intensity, shift, sigma) triples and the line fits.
+    Prepares a nested spectroscopy per grid intensity, measures the points
+    of all of them in one pool, then finishes each nested study in order
+    and regresses the extracted shift against intensity.  Returns the
+    surviving (intensity, shift, sigma) triples, the line fits and the
+    record, whose summary is ``summarize(triples, fits)``.
     """
     plan, t0, started = _start_run(plan)
-    grid = plan.grid
-    sweep_points: list[PointRecord] = []
-    for i, intensity in enumerate(grid):
-        if vary == "control":
-            cfg = with_readout_intensity(plan.config, float(intensity))
-        else:
-            cfg = with_signal_intensity(plan.config, float(intensity))
-        inner = StudyPlan(
+    with_intensity = with_readout_intensity if vary == "control" else with_signal_intensity
+    nested = [
+        _prepare_spectroscopy(StudyPlan(
             kind="spectroscopy",
-            config=cfg,
+            config=with_intensity(plan.config, float(intensity)),
             sequence=plan.sequence,
             study=plan.study,
             seed_base=point_seed(plan.seed_base, i),
             out_dir=None if plan.out_dir is None else plan.out_dir / "points" / str(i),
             jobs=plan.jobs,
             persist_traces=plan.persist_traces,
-        )
+        ))
+        for i, intensity in enumerate(plan.grid)
+    ]
+    measured = iter(_map_points(plan, [task for *_, tasks in nested for task in tasks]))
+    sweep_points: list[PointRecord] = []
+    for i, (inner, t_inner, started_inner, tasks) in enumerate(nested):
+        points = tuple(next(measured) for _ in tasks)
+        x = float(plan.grid[i])
         try:
-            result, _ = run_spectroscopy(inner)
+            result, _ = _finish_spectroscopy(inner, t_inner, started_inner, points)
             if math.isnan(result.delta_f_ac_hz):
                 raise OrchestrationError("intersection ill-conditioned")
-            sweep_points.append(PointRecord(
-                index=i, x=float(intensity),
-                values=(
-                    ("delta_f_ac_hz", result.delta_f_ac_hz),
-                    ("delta_f_ac_err_hz", result.delta_f_ac_err_hz),
-                ),
-            ))
+            sweep_points.append(PointRecord(index=i, x=x, values=dict(zip(
+                SHIFT_KEYS, (result.delta_f_ac_hz, result.delta_f_ac_err_hz)))))
         except (FitError, OrchestrationError) as exc:
-            sweep_points.append(PointRecord(
-                index=i, x=float(intensity), error=f"{type(exc).__name__}: {exc}"
-            ))
+            sweep_points.append(PointRecord(index=i, x=x, error=f"{type(exc).__name__}: {exc}"))
 
     surviving = [p for p in sweep_points if not p.excluded]
     if len(surviving) < 3:
         raise OrchestrationError(
             f"only {len(surviving)} of {len(sweep_points)} sweep points usable; need >= 3"
         )
-    xs = np.array([p.x for p in surviving])
-    ys = np.array([p.value("delta_f_ac_hz") for p in surviving])
-    sigmas = np.array(
-        [max(p.value("delta_f_ac_err_hz"), SIGMA_FLOOR_HZ) for p in surviving]
-    )
+    triples = [(p.x, p.values["delta_f_ac_hz"], p.values["delta_f_ac_err_hz"])
+               for p in surviving]
+    xs, ys = np.array([t[0] for t in triples]), np.array([t[1] for t in triples])
+    sigmas = np.array([max(t[2], SIGMA_FLOOR_HZ) for t in triples])
     fits = {"full": linear_fit(xs, ys, sigmas)}
     if vary == "signal":
         limit = plan.config.control.intensity
@@ -537,22 +532,8 @@ def _run_shift_sweep(
             fits["restricted"] = linear_fit(xs[keep], ys[keep], sigmas[keep])
 
     if plan.out_dir is not None:
-        rows = []
-        for p in sweep_points:
-            if p.excluded:
-                rows.append([str(p.index), _fmt(p.x), "", "", "1", p.error])
-            else:
-                rows.append([
-                    str(p.index), _fmt(p.x),
-                    _fmt(p.value("delta_f_ac_hz")), _fmt(p.value("delta_f_ac_err_hz")),
-                    "0", "",
-                ])
-        _write_rows_csv(
-            plan.out_dir / "summary.csv",
-            ["index", "intensity", "delta_f_ac_hz", "delta_f_ac_err_hz",
-             "excluded", "error"],
-            rows,
-        )
+        _write_summary_csv(plan.out_dir / "summary.csv", tuple(sweep_points),
+                           "intensity", SHIFT_KEYS)
         _write_plot_xy(plan.out_dir / "plotdata" / "shift_points.csv", xs, ys)
         _write_plot_xy(plan.out_dir / "plotdata" / "shift_line.csv",
                        *_line_endpoints(fits["full"], xs))
@@ -561,9 +542,7 @@ def _run_shift_sweep(
             _write_plot_xy(plan.out_dir / "plotdata" / "shift_line_restricted.csv",
                            *_line_endpoints(fits["restricted"], keep_xs))
 
-    triples = [(p.x, p.value("delta_f_ac_hz"), p.value("delta_f_ac_err_hz"))
-               for p in surviving]
-    record = _finish_run(plan, tuple(sweep_points), (), t0, started, ())
+    record = _finish_run(plan, tuple(sweep_points), summarize(triples, fits), t0, started)
     return triples, fits, record
 
 
@@ -580,29 +559,29 @@ def run_control_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]]
     """Extract the shift for each retrieval intensity and fit its linearity."""
     if plan.kind != "control_sweep":
         raise ConfigurationError(f"plan kind {plan.kind!r} is not control_sweep")
-    triples, fits, record = _run_shift_sweep(plan, vary="control")
-    fit = fits["full"]
-    xs = [t[0] for t in triples]
-    ys = [t[1] for t in triples]
-    sigmas = [max(t[2], SIGMA_FLOOR_HZ) for t in triples]
-    cg_sq = plan.config.control_cg() ** 2
-    summary = (
-        ("slope_hz_per_intensity", fit.slope),
-        ("slope_err_hz_per_intensity", fit.slope_err),
-        ("slope_t_statistic", slope_significance(fit)),
-        ("slope_hz_per_cg2_intensity", fit.slope / cg_sq if cg_sq else math.nan),
-        ("intercept_hz", fit.intercept),
-        ("intercept_err_hz", fit.intercept_err),
-        ("intercept_t_statistic",
-         fit.intercept / fit.intercept_err if fit.intercept_err > 0.0 else math.nan),
-        ("r_squared", _weighted_r_squared(fit, xs, ys, sigmas)),
-        ("chi2_per_dof", fit.chi2_per_dof),
-        ("model_slope_hz_per_intensity", plan.config.light_shift.slope_per_intensity_hz),
-    )
-    record = replace(record, summary=summary)
-    if plan.out_dir is not None:
-        _write_result_csv(plan.out_dir / "result.csv", summary)
-    return triples, fit, record
+
+    def summarize(triples, fits):
+        fit = fits["full"]
+        xs = [t[0] for t in triples]
+        ys = [t[1] for t in triples]
+        sigmas = [max(t[2], SIGMA_FLOOR_HZ) for t in triples]
+        cg_sq = plan.config.control_cg() ** 2
+        return (
+            ("slope_hz_per_intensity", fit.slope),
+            ("slope_err_hz_per_intensity", fit.slope_err),
+            ("slope_t_statistic", slope_significance(fit)),
+            ("slope_hz_per_cg2_intensity", fit.slope / cg_sq if cg_sq else math.nan),
+            ("intercept_hz", fit.intercept),
+            ("intercept_err_hz", fit.intercept_err),
+            ("intercept_t_statistic",
+             fit.intercept / fit.intercept_err if fit.intercept_err > 0.0 else math.nan),
+            ("r_squared", _weighted_r_squared(fit, xs, ys, sigmas)),
+            ("chi2_per_dof", fit.chi2_per_dof),
+            ("model_slope_hz_per_intensity", plan.config.light_shift.slope_per_intensity_hz),
+        )
+
+    triples, fits, record = _run_shift_sweep(plan, "control", summarize)
+    return triples, fits["full"], record
 
 
 def run_signal_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]], dict[str, LineFit], RunRecord]:
@@ -613,30 +592,29 @@ def run_signal_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]],
     """
     if plan.kind != "signal_sweep":
         raise ConfigurationError(f"plan kind {plan.kind!r} is not signal_sweep")
-    triples, fits, record = _run_shift_sweep(plan, vary="signal")
-    full = fits["full"]
-    cg_sq = plan.config.signal_cg() ** 2
-    summary = [
-        ("full_slope_hz_per_intensity", full.slope),
-        ("full_slope_err_hz_per_intensity", full.slope_err),
-        ("full_slope_t_statistic", slope_significance(full)),
-        ("full_slope_hz_per_cg2_intensity", full.slope / cg_sq if cg_sq else math.nan),
-        ("control_intensity_limit", plan.config.control.intensity),
-    ]
-    if "restricted" in fits:
-        restricted = fits["restricted"]
-        summary += [
-            ("restricted_slope_hz_per_intensity", restricted.slope),
-            ("restricted_slope_err_hz_per_intensity", restricted.slope_err),
-            ("restricted_slope_t_statistic", slope_significance(restricted)),
-            ("restricted_n_points",
-             float(sum(1 for t in triples if t[0] <= plan.config.control.intensity))),
+
+    def summarize(triples, fits):
+        full = fits["full"]
+        cg_sq = plan.config.signal_cg() ** 2
+        summary = [
+            ("full_slope_hz_per_intensity", full.slope),
+            ("full_slope_err_hz_per_intensity", full.slope_err),
+            ("full_slope_t_statistic", slope_significance(full)),
+            ("full_slope_hz_per_cg2_intensity", full.slope / cg_sq if cg_sq else math.nan),
+            ("control_intensity_limit", plan.config.control.intensity),
         ]
-    summary_t = tuple(summary)
-    record = replace(record, summary=summary_t)
-    if plan.out_dir is not None:
-        _write_result_csv(plan.out_dir / "result.csv", summary_t)
-    return triples, fits, record
+        if "restricted" in fits:
+            restricted = fits["restricted"]
+            summary += [
+                ("restricted_slope_hz_per_intensity", restricted.slope),
+                ("restricted_slope_err_hz_per_intensity", restricted.slope_err),
+                ("restricted_slope_t_statistic", slope_significance(restricted)),
+                ("restricted_n_points",
+                 float(sum(1 for t in triples if t[0] <= plan.config.control.intensity))),
+            ]
+        return tuple(summary)
+
+    return _run_shift_sweep(plan, "signal", summarize)
 
 
 def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
@@ -659,12 +637,11 @@ def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
     )
     if plan.out_dir is not None:
         write_spectrum_csv(points, plan.out_dir / "summary.csv")
-        _write_result_csv(plan.out_dir / "result.csv", summary)
         xs = [p.delta_r_hz for p in points]
         _write_plot_xy(plan.out_dir / "plotdata" / "transmission.csv", xs, transmissions)
         _write_plot_xy(plan.out_dir / "plotdata" / "absorption_proxy.csv",
                        xs, [p.absorption_proxy for p in points])
-    record = _finish_run(plan, (), summary, t0, started, ())
+    record = _finish_run(plan, (), summary, t0, started)
     return points, record
 
 
@@ -691,8 +668,24 @@ def fit_only(
     return fit
 
 
+def _read_point_traces(point_dir: Path) -> "list[PhotodiodeTrace]":
+    """The persisted traces of one point: trace.csv, or trace_rep<k>.csv by k."""
+    single = point_dir / "trace.csv"
+    paths = [single] if single.exists() else sorted(
+        point_dir.glob("trace_rep*.csv"), key=lambda p: int(p.stem.replace("trace_rep", ""))
+    )
+    if not paths:
+        raise OrchestrationError(f"point {point_dir.name} has no trace file in {point_dir}")
+    return [read_trace_csv(path) for path in paths]
+
+
 def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
-    """Rebuild a spectroscopy result from persisted traces and plan.cfg alone."""
+    """Rebuild a spectroscopy result from persisted traces and plan.cfg alone.
+
+    Every grid point goes through the routine the fresh run used, so the
+    stored numbers come back exactly and an excluded point is excluded
+    again; a point without a trace file is an error.
+    """
     run_dir = Path(run_dir)
     loaded = load_config(run_dir / "plan.cfg")
     if loaded.plan_kind != "spectroscopy":
@@ -700,40 +693,8 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
             f"run directory holds a {loaded.plan_kind!r} study, not spectroscopy"
         )
     w_in, w_ret = default_windows(loaded.sequence, loaded.study)
-    grid = loaded.study.delta_r_grid_hz
-    points = []
-    for i, delta_r in enumerate(grid):
-        point_dir = run_dir / "points" / str(i)
-        if not point_dir.exists():
-            continue
-        single = point_dir / "trace.csv"
-        if single.exists():
-            trace = read_trace_csv(single)
-            fit_in = fit_beat(trace, w_in, with_envelope=False)
-            fit_ret = fit_beat(trace, w_ret, with_envelope=True)
-            f_in, f_in_err = fit_in.f_b_hz, fit_in.f_b_err_hz
-            f_ret, f_ret_err = fit_ret.f_b_hz, fit_ret.f_b_err_hz
-        else:
-            rep_paths = sorted(
-                point_dir.glob("trace_rep*.csv"),
-                key=lambda p: int(p.stem.replace("trace_rep", "")),
-            )
-            if not rep_paths:
-                continue
-            per_in, per_ret = [], []
-            for path in rep_paths:
-                trace = read_trace_csv(path)
-                fi = fit_beat(trace, w_in, with_envelope=False)
-                fr = fit_beat(trace, w_ret, with_envelope=True)
-                per_in.append((fi.f_b_hz, fi.f_b_err_hz))
-                per_ret.append((fr.f_b_hz, fr.f_b_err_hz))
-            f_in, f_in_err = _weighted_mean(*map(np.array, zip(*per_in)))
-            f_ret, f_ret_err = _weighted_mean(*map(np.array, zip(*per_ret)))
-        points.append(SpectroscopyPoint(
-            delta_r_hz=float(grid[i]),
-            f_input_hz=f_in, f_input_err_hz=f_in_err,
-            f_retrieved_hz=f_ret, f_retrieved_err_hz=f_ret_err,
-        ))
-    if len(points) < 3:
-        raise OrchestrationError("fewer than 3 persisted points to re-analyze")
-    return SpectroscopyResult.from_points(points)
+    return _spectroscopy_result(tuple(
+        _analyze_point(i, float(d), _read_point_traces(run_dir / "points" / str(i)),
+                       w_in, w_ret, loaded.study.average_mode)
+        for i, d in enumerate(loaded.study.delta_r_grid_hz)
+    ))

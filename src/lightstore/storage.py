@@ -31,13 +31,11 @@ from .model import (
 )
 
 __all__ = [
-    "PolaritonState",
     "PhotodiodeTrace",
     "TraceParseError",
     "mixing_angle",
     "frequency_pulling",
     "retrieved_beat_frequency",
-    "storage_round_trip",
     "simulate_storage",
     "input_beat_frequency",
     "write_trace_csv",
@@ -63,34 +61,6 @@ def mixing_angle(g_rad: float, n_density: float, omega_c_rad: float) -> float:
     if numerator == 0.0 and omega_c_rad == 0.0:
         raise ValueError("mixing angle undefined: g sqrt(N) and Omega_C both zero")
     return math.atan2(numerator, omega_c_rad)
-
-
-@dataclass(frozen=True)
-class PolaritonState:
-    """Photon/spin-wave superposition amplitude and its stored phase."""
-
-    theta_rad: float
-    stored_phase_rad: float = 0.0
-    stored_amplitude: float = 0.0
-
-    @property
-    def photonic_amplitude(self) -> float:
-        return math.cos(self.theta_rad)
-
-    @property
-    def spin_amplitude(self) -> float:
-        return math.sin(self.theta_rad)
-
-    @classmethod
-    def from_couplings(
-        cls,
-        g_rad: float,
-        n_density: float,
-        omega_c_rad: float,
-        stored_phase_rad: float = 0.0,
-        stored_amplitude: float = 0.0,
-    ) -> "PolaritonState":
-        return cls(mixing_angle(g_rad, n_density, omega_c_rad), stored_phase_rad, stored_amplitude)
 
 
 def frequency_pulling(delta_r_hz: float, alpha_rad: float, theta_rad: float) -> float:
@@ -126,32 +96,6 @@ def retrieved_beat_frequency(
 def input_beat_frequency(config: ExperimentConfig) -> float:
     """Beat of the input signal against the control: splitting + delta_R (Hz)."""
     return config.magnetic.zeeman_splitting() + config.delta_r_hz
-
-
-def storage_round_trip(
-    theta_in: float,
-    theta_out: float,
-    input_amplitude: float,
-    efficiency: float = 1.0,
-    stored_phase_rad: float = 0.0,
-) -> tuple[float, float]:
-    """Retrieved field amplitude and phase after one store/retrieve cycle.
-
-    The polariton amplitude survives the rotation to and from the spin wave,
-    so the photonic amplitude maps as cos(theta_out)/cos(theta_in) scaled by
-    sqrt(efficiency); the phase rides on the spin wave unchanged.  The
-    result is linear in the input amplitude and carries no dependence on the
-    input intensity beyond it.
-    """
-    if input_amplitude < 0.0:
-        raise ValueError("input amplitude must be >= 0")
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError("efficiency must be in [0, 1]")
-    cos_in = math.cos(theta_in)
-    if abs(cos_in) < 1e-12:
-        raise ValueError("input polariton has no photonic component (theta_in = pi/2)")
-    amplitude = input_amplitude * math.sqrt(efficiency) * math.cos(theta_out) / cos_in
-    return amplitude, stored_phase_rad
 
 
 @dataclass(frozen=True)

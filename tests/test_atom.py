@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from lightstore.atom import (
     DegenerateSteadyStateError,
     DensityMatrix,
+    SpectrumPoint,
     ac_stark_shift,
     build_hamiltonian,
     evolve,
@@ -17,7 +19,6 @@ from lightstore.atom import (
     steady_state_residual,
     transmission_spectrum,
     write_spectrum_csv,
-    read_spectrum_csv,
 )
 from lightstore.model import (
     ConfigurationError,
@@ -246,7 +247,10 @@ class TestTransmissionSpectrum:
         points = transmission_spectrum(config, np.linspace(-5e3, 5e3, 5))
         path = tmp_path / "spectrum.csv"
         write_spectrum_csv(points, path)
-        back = read_spectrum_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["delta_r_hz", "transmission", "absorption_proxy"]
+        back = [SpectrumPoint(*map(float, row)) for row in rows[1:]]
         assert back == points
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lightstore
 from lightstore.cli import JOBS_ENV_VAR, main
 from lightstore.configfile import default_config, dump_config
 from lightstore.storage import PhotodiodeTrace, write_trace_csv
@@ -137,3 +143,18 @@ def test_bad_jobs_env_var_rejected(tmp_path, small_config, monkeypatch, capsys):
     code = main(["spectroscopy", "--config", str(small_config),
                  "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_cold_start_leaves_scipy_stats_unimported():
+    code = (
+        "import sys\n"
+        "import lightstore.cli\n"
+        "from lightstore.configfile import default_config\n"
+        "from lightstore.orchestrator import StudyPlan, run_spectroscopy\n"
+        "run_spectroscopy(StudyPlan.from_loaded(default_config(), 'spectroscopy', seed_base=1))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lightstore.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

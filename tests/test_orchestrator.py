@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lightstore import orchestrator
 from lightstore.configfile import FIT_THEN_AVERAGE, LoadedExperiment
 from lightstore.model import ConfigurationError, LightShiftModel
 from lightstore.orchestrator import (
@@ -135,6 +136,48 @@ class TestRunSpectroscopy:
         again = reanalyze_spectroscopy(out)
         assert again.delta_f_ac_hz == result.delta_f_ac_hz
 
+    def test_reanalysis_fit_then_average_single_repetition(self, loaded, tmp_path):
+        # the one trace is persisted as trace.csv; re-analysis must still take
+        # the one-element weighted mean the fresh run took
+        study = replace(loaded.study, repetitions=1, average_mode=FIT_THEN_AVERAGE)
+        varied = LoadedExperiment(config=loaded.config, sequence=loaded.sequence, study=study)
+        out = tmp_path / "run"
+        plan = StudyPlan.from_loaded(varied, "spectroscopy", seed_base=0, out_dir=out)
+        result, _ = run_spectroscopy(plan)
+        assert (out / "points" / "0" / "trace.csv").is_file()
+        again = reanalyze_spectroscopy(out)
+        assert repr(again.delta_f_ac_hz) == repr(result.delta_f_ac_hz)
+        assert repr(again.delta_f_ac_err_hz) == repr(result.delta_f_ac_err_hz)
+
+    def test_reanalysis_excludes_the_failed_point_again(self, loaded, tmp_path):
+        # delta_R = -zeeman puts the input beat at DC; that point alone fails
+        zeeman = loaded.config.magnetic.zeeman_splitting()
+        study = replace(loaded.study, delta_r_grid_hz=(-zeeman, -5e3, 0.0, 5e3, 10e3))
+        out = tmp_path / "run"
+        plan = StudyPlan.from_loaded(replace(loaded, study=study), "spectroscopy",
+                                     seed_base=2, out_dir=out)
+        with pytest.warns(UserWarning, match="window"):
+            result, _ = run_spectroscopy(plan)
+        assert (out / "points" / "0" / "trace.csv").is_file()
+        assert not (out / "points" / "0" / "fits.csv").exists()
+        again = reanalyze_spectroscopy(out)
+        assert again.points == result.points
+        assert repr(again.delta_f_ac_hz) == repr(result.delta_f_ac_hz)
+
+    def test_reanalysis_refuses_a_missing_trace(self, loaded, tmp_path):
+        out = tmp_path / "run"
+        run_spectroscopy(StudyPlan.from_loaded(loaded, "spectroscopy", seed_base=3, out_dir=out))
+        (out / "points" / "4" / "trace.csv").unlink()
+        with pytest.raises(OrchestrationError, match="point 4 "):
+            reanalyze_spectroscopy(out)
+
+    def test_reanalysis_refuses_a_run_without_traces(self, loaded, tmp_path):
+        out = tmp_path / "run"
+        run_spectroscopy(StudyPlan.from_loaded(
+            loaded, "spectroscopy", seed_base=3, out_dir=out, persist_traces=False))
+        with pytest.raises(OrchestrationError, match="point 0 "):
+            reanalyze_spectroscopy(out)
+
     def test_rerun_is_byte_identical(self, loaded, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -180,6 +223,29 @@ class TestControlSweep:
         assert (out / "result.csv").is_file()
         assert (out / "points" / "0" / "plan.cfg").is_file()
         assert (out / "plotdata" / "shift_points.csv").is_file()
+
+    def test_persisted_parallel_matches_serial(self, loaded, tmp_path):
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            run_control_sweep(StudyPlan.from_loaded(
+                loaded, "control_sweep", seed_base=3, out_dir=out, jobs=jobs))
+        nested = [f"points/{i}/" for i in range(len(loaded.study.control_intensity_grid))]
+        for prefix in ("", *nested):
+            for name in ("summary.csv", "result.csv"):
+                serial = (outs[1] / (prefix + name)).read_bytes()
+                assert serial == (outs[2] / (prefix + name)).read_bytes(), prefix + name
+
+    def test_parallel_sweep_opens_one_pool(self, loaded, monkeypatch):
+        opened = []
+
+        class CountingPool(orchestrator.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", CountingPool)
+        run_control_sweep(StudyPlan.from_loaded(loaded, "control_sweep", seed_base=3, jobs=2))
+        assert opened == [2]
 
     def test_intensity_grid_matches_points(self, noiseless):
         plan = StudyPlan.from_loaded(noiseless, "control_sweep", seed_base=3)
@@ -273,6 +339,10 @@ class TestStudyPlan:
     def test_unknown_kind_rejected(self, loaded):
         with pytest.raises(ConfigurationError, match="kind"):
             StudyPlan.from_loaded(loaded, "frequency_comb")
+
+    def test_fit_only_is_not_a_study_kind(self, loaded):
+        with pytest.raises(ConfigurationError, match="kind"):
+            StudyPlan.from_loaded(loaded, "fit_only")
 
     def test_bad_jobs_rejected(self, loaded):
         with pytest.raises(ConfigurationError, match="jobs"):

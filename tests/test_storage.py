@@ -13,7 +13,6 @@ from lightstore.model import (
 )
 from lightstore.storage import (
     PhotodiodeTrace,
-    PolaritonState,
     TraceParseError,
     frequency_pulling,
     input_beat_frequency,
@@ -21,7 +20,6 @@ from lightstore.storage import (
     read_trace_csv,
     retrieved_beat_frequency,
     simulate_storage,
-    storage_round_trip,
     write_trace_csv,
 )
 
@@ -46,10 +44,6 @@ class TestMixingAngle:
             return
         theta = mixing_angle(gn, 1.0, omega)
         assert 0.0 <= theta <= math.pi / 2
-        state = PolaritonState(theta_rad=theta)
-        assert state.photonic_amplitude**2 + state.spin_amplitude**2 == pytest.approx(
-            1.0, abs=1e-12
-        )
 
 
 class TestFrequencyPulling:
@@ -93,30 +87,6 @@ class TestRetrievedBeatFrequency:
         pulled = retrieved_beat_frequency(config.magnetic, 0.0,
                                           config.light_shift, 0.01, math.pi / 4, 10e3)
         assert pulled - base == pytest.approx(0.25, abs=1e-4)
-
-
-class TestStorageRoundTrip:
-    def test_control_never_restored(self):
-        amp, _ = storage_round_trip(0.3, math.pi / 2, 1.0)
-        assert amp == pytest.approx(0.0, abs=1e-16)
-
-    def test_identity_preserves_amplitude(self):
-        amp, phase = storage_round_trip(0.7, 0.7, 1.25, efficiency=1.0, stored_phase_rad=0.4)
-        assert amp == pytest.approx(1.25, rel=1e-12)
-        assert phase == 0.4
-
-    def test_linear_in_input(self):
-        one, _ = storage_round_trip(0.5, 0.6, 1.0, efficiency=0.5)
-        two, _ = storage_round_trip(0.5, 0.6, 2.0, efficiency=0.5)
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            storage_round_trip(0.5, 0.6, -1.0)
-
-    def test_pure_spin_input_rejected(self):
-        with pytest.raises(ValueError, match="photonic"):
-            storage_round_trip(math.pi / 2, 0.3, 1.0)
 
 
 def _segment_slice(trace, sequence, name):
