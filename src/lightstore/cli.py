@@ -48,11 +48,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser, needs_out: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="experiment config file (defaults to the calibrated built-ins)")
-    sub.add_argument("--out", type=Path, required=needs_out, default=None,
-                     help="output directory for this run")
+    sub.add_argument("--out", type=Path, required=True, help="output directory for this run")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed base (defaults to the config rng_seed)")
     sub.add_argument("--jobs", type=int, default=None,
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(subs.add_parser(name, help=help_text))
 
     fit = subs.add_parser("fit", help="fit a beat note in a stored trace file")
-    _add_common(fit)
+    fit.add_argument("--out", type=Path, required=True, help="output directory for the fit")
     fit.add_argument("trace", type=Path, help="trace CSV file")
     fit.add_argument("--window", type=float, nargs=2, metavar=("T_A", "T_B"),
                      default=None, help="fit window in seconds (default: whole trace)")
@@ -159,8 +158,7 @@ def _run_study(args, kind: str) -> int:
                       f"{fits['restricted'].slope:.4f} +- {fits['restricted'].slope_err:.4f}"),
                      ("restricted |t|", f"{abs(summary['restricted_slope_t_statistic']):.3f}")]
         _print_kv(rows)
-    if args.out is not None:
-        print(f"outputs in {args.out}")
+    print(f"outputs in {args.out}")
     return EXIT_OK
 
 
@@ -181,8 +179,7 @@ def _run_fit(args) -> int:
         ("rms residual", f"{fit.rms_residual:.4g}"),
         ("converged", str(fit.converged).lower()),
     ])
-    if args.out is not None:
-        print(f"outputs in {args.out}")
+    print(f"outputs in {args.out}")
     return EXIT_OK
 
 

@@ -2,34 +2,11 @@
 
 INI-style key/value sections (configparser syntax) covering every
 ExperimentConfig field plus the pulse sequence, study grids and analysis
-windows.  Unknown sections or keys are hard errors.  ``default_config``
-returns the calibrated defaults; ``write_default_config`` emits them as an
-annotated template.
-
-Sections and keys (defaults in parentheses):
-
-[level_scheme]   gamma_e_rad (2pi*5.75e6), gamma_gg_rad (2pi*500),
-                 ground_minus_label, ground_plus_label, excited_label,
-                 second_excited_label (empty disables the fourth level),
-                 second_excited_offset_hz (814.5e6)
-[clebsch_weights] one key per transition, "<ground>/<excited>/<polarization>"
-[control]        intensity, power_w, one_photon_detuning_rad, polarization,
-                 angle_alpha_rad, readout_intensity (empty = same as intensity)
-[signal]         intensity, power_w, one_photon_detuning_rad, polarization,
-                 angle_alpha_rad
-[magnetic]       b0_gauss, g_f, mu_b_over_h_hz_per_gauss
-[experiment]     delta_r_hz, sample_rate_hz, trace_noise_sigma,
-                 control_leak_fraction, storage_efficiency,
-                 retrieval_decay_time_s, rng_seed, kappa_rad2, od_eff,
-                 coupling_gn_rad, include_second_excited
-[light_shift]    linewidth_rad, couplings (one "detuning_rad cg_sq" per line)
-[pulse_sequence] preparation_s, input_s, storage_s, readout_s
-[study]          delta_r_grid_hz, dark_resonance_grid_hz,
-                 control_intensity_grid, signal_intensity_grid,
-                 repetitions, average_mode (average-traces|fit-then-average)
-[analysis]       guard_s, input_window_s (optional "t_a,t_b"),
-                 retrieved_window_s (optional "t_a,t_b")
-[plan]           written into run snapshots only: kind, seed_base
+windows.  ``_FORMAT`` is the file format: it lists every section and key in
+file order with the parser of each key, and ``load_config``, ``dump_config``
+and the key checks all read it.  Unknown sections or keys are hard errors;
+omitted keys keep the calibrated defaults of ``default_config``, and
+``write_default_config`` writes those defaults out as an editable template.
 
 Grids accept either comma-separated values or "lin:start:stop:n".
 """
@@ -37,7 +14,7 @@ Grids accept either comma-separated values or "lin:start:stop:n".
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +47,11 @@ DEFAULT_SIGNAL_INTENSITY = 3.5
 DEFAULT_KAPPA_RAD2 = (TWO_PI * 375e3) ** 2 / DEFAULT_CONTROL_INTENSITY
 DEFAULT_SHIFT_DETUNING_RAD = TWO_PI * 814.5e6
 DEFAULT_SHIFT_AT_REFERENCE_HZ = 7000.0
+# Phase durations of the standard sequence: the arguments of
+# PulseSequence.standard and the keys of [pulse_sequence].
+DEFAULT_DURATIONS_S = {
+    "preparation_s": 30e-6, "input_s": 50e-6, "storage_s": 5e-6, "readout_s": 60e-6,
+}
 
 
 @dataclass(frozen=True)
@@ -153,9 +135,7 @@ def default_config() -> LoadedExperiment:
         light_shift=shift,
         kappa_rad2=kappa,
     )
-    sequence = PulseSequence.standard(
-        preparation_s=30e-6, input_s=50e-6, storage_s=5e-6, readout_s=60e-6
-    )
+    sequence = PulseSequence.standard(**DEFAULT_DURATIONS_S)
     study = StudyDefaults(
         delta_r_grid_hz=_as_floats(np.linspace(-15e3, 15e3, 9)),
         dark_resonance_grid_hz=_as_floats(np.linspace(-60e3, 60e3, 241)),
@@ -191,10 +171,7 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _parse_window(raw: str) -> tuple[float, float] | None:
-    raw = raw.strip()
-    if not raw:
-        return None
+def _parse_window(raw: str) -> tuple[float, float]:
     values = [float(tok) for tok in raw.replace(",", " ").split()]
     if len(values) != 2:
         raise ValueError(f"window needs two times, got {raw!r}")
@@ -214,34 +191,70 @@ def _parse_couplings(raw: str) -> tuple[ShiftCoupling, ...]:
     return tuple(couplings)
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "level_scheme": (
-        "gamma_e_rad", "gamma_gg_rad", "ground_minus_label", "ground_plus_label",
-        "excited_label", "second_excited_label", "second_excited_offset_hz",
-    ),
-    "clebsch_weights": (),  # free-form transition keys
-    "control": (
-        "intensity", "power_w", "one_photon_detuning_rad", "polarization",
-        "angle_alpha_rad", "readout_intensity",
-    ),
-    "signal": (
-        "intensity", "power_w", "one_photon_detuning_rad", "polarization",
-        "angle_alpha_rad",
-    ),
-    "magnetic": ("b0_gauss", "g_f", "mu_b_over_h_hz_per_gauss"),
-    "experiment": (
-        "delta_r_hz", "sample_rate_hz", "trace_noise_sigma", "control_leak_fraction",
-        "storage_efficiency", "retrieval_decay_time_s", "rng_seed", "kappa_rad2",
-        "od_eff", "coupling_gn_rad", "include_second_excited",
-    ),
-    "light_shift": ("linewidth_rad", "couplings"),
-    "pulse_sequence": ("preparation_s", "input_s", "storage_s", "readout_s"),
-    "study": (
-        "delta_r_grid_hz", "dark_resonance_grid_hz", "control_intensity_grid",
-        "signal_intensity_grid", "repetitions", "average_mode",
-    ),
-    "analysis": ("guard_s", "input_window_s", "retrieved_window_s"),
-    "plan": ("kind", "seed_base"),
+def _optional(parse):
+    """Parser that reads an empty value as None."""
+    def read(raw: str):
+        raw = raw.strip()
+        return parse(raw) if raw else None
+    return read
+
+
+def _transition(key: str) -> tuple[str, str, str]:
+    parts = key.split("/")
+    if len(parts) != 3:
+        raise ConfigurationError(
+            f"clebsch_weights key must be ground/excited/polarization, got {key!r}"
+        )
+    return (parts[0], parts[1], parts[2])
+
+
+_FIELD_KEYS = {
+    "intensity": float, "power_w": float, "one_photon_detuning_rad": float,
+    "polarization": str, "angle_alpha_rad": float,
+}
+
+# The config file format: section -> (object the section sets, {key: parser}),
+# in file order.  Each key names the attribute it sets on that object; "config"
+# is the ExperimentConfig itself, "durations" the PulseSequence.standard
+# arguments and "plan" the plan_* fields of LoadedExperiment.
+_FORMAT = {
+    "level_scheme": ("level_scheme", {
+        "gamma_e_rad": float, "gamma_gg_rad": float, "ground_minus_label": str,
+        "ground_plus_label": str, "excited_label": str,
+        # empty disables the fourth level
+        "second_excited_label": _optional(str), "second_excited_offset_hz": float,
+    }),
+    # free-form: one amplitude per "<ground>/<excited>/<polarization>" key; a
+    # file's section replaces the weights whole, else they follow the labels
+    "clebsch_weights": ("clebsch_weights", None),
+    # readout_intensity: retrieval drive, empty = same as intensity
+    "control": ("control", {**_FIELD_KEYS, "readout_intensity": _optional(float)}),
+    "signal": ("signal", _FIELD_KEYS),
+    "magnetic": ("magnetic", {
+        "b0_gauss": float, "g_f": float, "mu_b_over_h_hz_per_gauss": float,
+    }),
+    "experiment": ("config", {
+        "delta_r_hz": float, "sample_rate_hz": float, "trace_noise_sigma": float,
+        "control_leak_fraction": float, "storage_efficiency": float,
+        "retrieval_decay_time_s": float, "rng_seed": int, "kappa_rad2": float,
+        "od_eff": float, "coupling_gn_rad": float, "include_second_excited": _parse_bool,
+    }),
+    # couplings: one "detuning_rad cg_sq" pair per line
+    "light_shift": ("light_shift", {"linewidth_rad": float, "couplings": _parse_couplings}),
+    "pulse_sequence": ("durations", dict.fromkeys(DEFAULT_DURATIONS_S, float)),
+    # average_mode: average-traces | fit-then-average
+    "study": ("study", {
+        "delta_r_grid_hz": _parse_grid, "dark_resonance_grid_hz": _parse_grid,
+        "control_intensity_grid": _parse_grid, "signal_intensity_grid": _parse_grid,
+        "repetitions": int, "average_mode": str,
+    }),
+    # windows: optional "t_a, t_b" overrides of the guarded phase windows
+    "analysis": ("study", {
+        "guard_s": float, "input_window_s": _optional(_parse_window),
+        "retrieved_window_s": _optional(_parse_window),
+    }),
+    # written into run snapshots only
+    "plan": ("plan", {"kind": _optional(str), "seed_base": int}),
 }
 
 
@@ -251,200 +264,79 @@ def _make_parser() -> configparser.ConfigParser:
     return parser
 
 
-def _validate_keys(parser: configparser.ConfigParser) -> None:
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigurationError(f"unknown config section [{section}]")
-        if section == "clebsch_weights":
-            continue
-        allowed = _SCHEMA[section]
-        for key in parser[section]:
-            if key not in allowed:
-                raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
+def _field(base: FieldConfig, values: dict, scheme: LevelScheme, ground: str,
+           kappa: float) -> FieldConfig:
+    """``base`` with the file's values and the Rabi frequency they imply."""
+    intensity = values.get("intensity", base.intensity)
+    polarization = values.get("polarization", base.polarization)
+    cg = scheme.weight(ground, scheme.excited_label, polarization)
+    return replace(base, **values, rabi_frequency_rad=rabi_from_intensity(intensity, cg, kappa))
 
 
 def load_config(path: "str | Path") -> LoadedExperiment:
     """Parse a config file; missing keys fall back to the calibrated defaults."""
     parser = _make_parser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
-    _validate_keys(parser)
-    base = default_config()
-
-    def get(section: str, key: str, conv, fallback):
-        if parser.has_section(section) and key in parser[section]:
-            raw = parser[section][key]
+    values: dict[str, dict] = {target: {} for target, _ in _FORMAT.values()}
+    for section in parser.sections():
+        if section not in _FORMAT:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        target, keys = _FORMAT[section]
+        for key, raw in parser[section].items():
+            if keys is None:
+                name, parse = _transition(key), float
+            elif key in keys:
+                name, parse = key, keys[key]
+            else:
+                raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
             try:
-                return conv(raw)
+                values[target][name] = parse(raw)
             except ValueError as exc:
                 raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
-        return fallback
 
-    def get_optional_str(section: str, key: str, fallback):
-        if parser.has_section(section) and key in parser[section]:
-            raw = parser[section][key].strip()
-            return raw or None
-        return fallback
-
-    scheme_base = base.config.level_scheme
-    weights: tuple[tuple[tuple[str, str, str], float], ...] = ()
-    if parser.has_section("clebsch_weights"):
-        entries = []
-        for key, raw in parser["clebsch_weights"].items():
-            parts = key.split("/")
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"clebsch_weights key must be ground/excited/polarization, got {key!r}"
-                )
-            try:
-                entries.append(((parts[0], parts[1], parts[2]), float(raw)))
-            except ValueError as exc:
-                raise ConfigurationError(f"[clebsch_weights] {key}: {exc}") from exc
-        weights = tuple(entries)
-
-    scheme = LevelScheme(
-        gamma_e_rad=get("level_scheme", "gamma_e_rad", float, scheme_base.gamma_e_rad),
-        gamma_gg_rad=get("level_scheme", "gamma_gg_rad", float, scheme_base.gamma_gg_rad),
-        ground_minus_label=get(
-            "level_scheme", "ground_minus_label", str, scheme_base.ground_minus_label
-        ),
-        ground_plus_label=get(
-            "level_scheme", "ground_plus_label", str, scheme_base.ground_plus_label
-        ),
-        excited_label=get("level_scheme", "excited_label", str, scheme_base.excited_label),
-        second_excited_label=get_optional_str(
-            "level_scheme", "second_excited_label", scheme_base.second_excited_label
-        ),
-        second_excited_offset_hz=get(
-            "level_scheme", "second_excited_offset_hz", float,
-            scheme_base.second_excited_offset_hz,
-        ),
-        clebsch_weights=weights,
-    )
-
-    kappa = get("experiment", "kappa_rad2", float, base.config.kappa_rad2)
-
-    def field_from(section: str, role: str, fallback: FieldConfig) -> FieldConfig:
-        intensity = get(section, "intensity", float, fallback.intensity)
-        polarization = get(section, "polarization", str, fallback.polarization)
-        if role == "control":
-            cg = scheme.weight(scheme.ground_plus_label, scheme.excited_label, polarization)
-        else:
-            cg = scheme.weight(scheme.ground_minus_label, scheme.excited_label, polarization)
-        kwargs = {}
-        if role == "control":
-            raw_readout = get_optional_str(section, "readout_intensity", "keep")
-            if raw_readout == "keep":
-                kwargs["readout_intensity"] = fallback.readout_intensity
-            elif raw_readout is None:
-                kwargs["readout_intensity"] = None
-            else:
-                kwargs["readout_intensity"] = float(raw_readout)
-        return FieldConfig(
-            role=role,
-            intensity=intensity,
-            rabi_frequency_rad=rabi_from_intensity(intensity, cg, kappa),
-            polarization=polarization,
-            power_w=get(section, "power_w", float, fallback.power_w),
-            one_photon_detuning_rad=get(
-                section, "one_photon_detuning_rad", float, fallback.one_photon_detuning_rad
-            ),
-            angle_alpha_rad=get(section, "angle_alpha_rad", float, fallback.angle_alpha_rad),
-            **kwargs,
-        )
-
-    control = field_from("control", "control", base.config.control)
-    signal = field_from("signal", "signal", base.config.signal)
-
-    magnetic = MagneticEnvironment(
-        b0_gauss=get("magnetic", "b0_gauss", float, base.config.magnetic.b0_gauss),
-        g_f=get("magnetic", "g_f", float, base.config.magnetic.g_f),
-        mu_b_over_h_hz_per_gauss=get(
-            "magnetic", "mu_b_over_h_hz_per_gauss", float,
-            base.config.magnetic.mu_b_over_h_hz_per_gauss,
-        ),
-    )
-
-    linewidth = get("light_shift", "linewidth_rad", float, base.config.light_shift.linewidth_rad)
-    if parser.has_section("light_shift") and "couplings" in parser["light_shift"]:
-        try:
-            couplings = _parse_couplings(parser["light_shift"]["couplings"])
-        except ValueError as exc:
-            raise ConfigurationError(f"[light_shift] couplings: {exc}") from exc
-    else:
-        couplings = base.config.light_shift.couplings
-    shift = LightShiftModel(couplings=couplings, linewidth_rad=linewidth, kappa_rad2=kappa)
-
-    config = ExperimentConfig(
+    base = default_config()
+    cfg = base.config
+    scheme = replace(cfg.level_scheme, **values["level_scheme"],
+                     clebsch_weights=tuple(values["clebsch_weights"].items()))
+    kappa = values["config"].get("kappa_rad2", cfg.kappa_rad2)
+    config = replace(
+        cfg,
         level_scheme=scheme,
-        control=control,
-        signal=signal,
-        magnetic=magnetic,
-        light_shift=shift,
-        delta_r_hz=get("experiment", "delta_r_hz", float, base.config.delta_r_hz),
-        sample_rate_hz=get("experiment", "sample_rate_hz", float, base.config.sample_rate_hz),
-        trace_noise_sigma=get(
-            "experiment", "trace_noise_sigma", float, base.config.trace_noise_sigma
-        ),
-        control_leak_fraction=get(
-            "experiment", "control_leak_fraction", float, base.config.control_leak_fraction
-        ),
-        storage_efficiency=get(
-            "experiment", "storage_efficiency", float, base.config.storage_efficiency
-        ),
-        retrieval_decay_time_s=get(
-            "experiment", "retrieval_decay_time_s", float, base.config.retrieval_decay_time_s
-        ),
-        rng_seed=get("experiment", "rng_seed", int, base.config.rng_seed),
-        kappa_rad2=kappa,
-        od_eff=get("experiment", "od_eff", float, base.config.od_eff),
-        coupling_gn_rad=get(
-            "experiment", "coupling_gn_rad", float, base.config.coupling_gn_rad
-        ),
-        include_second_excited=get(
-            "experiment", "include_second_excited", _parse_bool,
-            base.config.include_second_excited,
-        ),
+        control=_field(cfg.control, values["control"], scheme, scheme.ground_plus_label, kappa),
+        signal=_field(cfg.signal, values["signal"], scheme, scheme.ground_minus_label, kappa),
+        magnetic=replace(cfg.magnetic, **values["magnetic"]),
+        light_shift=replace(cfg.light_shift, **values["light_shift"], kappa_rad2=kappa),
+        **values["config"],
     )
-
-    sequence = PulseSequence.standard(
-        preparation_s=get("pulse_sequence", "preparation_s", float, 30e-6),
-        input_s=get("pulse_sequence", "input_s", float, 50e-6),
-        storage_s=get("pulse_sequence", "storage_s", float, 5e-6),
-        readout_s=get("pulse_sequence", "readout_s", float, 60e-6),
-    )
-
-    study = StudyDefaults(
-        delta_r_grid_hz=get("study", "delta_r_grid_hz", _parse_grid, base.study.delta_r_grid_hz),
-        dark_resonance_grid_hz=get(
-            "study", "dark_resonance_grid_hz", _parse_grid, base.study.dark_resonance_grid_hz
-        ),
-        control_intensity_grid=get(
-            "study", "control_intensity_grid", _parse_grid, base.study.control_intensity_grid
-        ),
-        signal_intensity_grid=get(
-            "study", "signal_intensity_grid", _parse_grid, base.study.signal_intensity_grid
-        ),
-        repetitions=get("study", "repetitions", int, base.study.repetitions),
-        average_mode=get("study", "average_mode", str, base.study.average_mode),
-        guard_s=get("analysis", "guard_s", float, base.study.guard_s),
-        input_window_s=get("analysis", "input_window_s", _parse_window, None),
-        retrieved_window_s=get("analysis", "retrieved_window_s", _parse_window, None),
-    )
-
-    plan_kind = get_optional_str("plan", "kind", None)
-    plan_seed = get("plan", "seed_base", int, None)
     return LoadedExperiment(
-        config=config, sequence=sequence, study=study,
-        plan_kind=plan_kind, plan_seed_base=plan_seed,
+        config=config,
+        sequence=PulseSequence.standard(**{**DEFAULT_DURATIONS_S, **values["durations"]}),
+        study=replace(base.study, **values["study"]),
+        plan_kind=values["plan"].get("kind"),
+        plan_seed_base=values["plan"].get("seed_base"),
     )
 
 
 # -- writing ---------------------------------------------------------------
 
-def _grid_str(grid: tuple[float, ...]) -> str:
-    return ", ".join(repr(float(v)) for v in grid)
+def _format(value) -> str:
+    """File text of one attribute value, which its parser reads back."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, str)):
+        return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    if value and isinstance(value[0], ShiftCoupling):
+        return "".join(f"\n{c.detuning_rad!r} {c.cg_sq!r}" for c in value)
+    return ", ".join(repr(float(v)) for v in value)
 
 
 def dump_config(
@@ -455,96 +347,27 @@ def dump_config(
 ) -> None:
     """Write every field explicitly so the file reloads to the same values."""
     cfg = loaded.config
-    scheme = cfg.level_scheme
+    objects = {
+        "level_scheme": vars(cfg.level_scheme),
+        "clebsch_weights": {"/".join(t): w for t, w in cfg.level_scheme.clebsch_weights},
+        "control": vars(cfg.control),
+        "signal": vars(cfg.signal),
+        "magnetic": vars(cfg.magnetic),
+        "config": vars(cfg),
+        "light_shift": vars(cfg.light_shift),
+        "durations": {f"{seg.name}_s": seg.duration for seg in loaded.sequence.segments},
+        "study": vars(loaded.study),
+        "plan": {"kind": plan_kind, "seed_base": plan_seed_base},
+    }
     parser = _make_parser()
-    parser["level_scheme"] = {
-        "gamma_e_rad": repr(scheme.gamma_e_rad),
-        "gamma_gg_rad": repr(scheme.gamma_gg_rad),
-        "ground_minus_label": scheme.ground_minus_label,
-        "ground_plus_label": scheme.ground_plus_label,
-        "excited_label": scheme.excited_label,
-        "second_excited_label": scheme.second_excited_label or "",
-        "second_excited_offset_hz": repr(scheme.second_excited_offset_hz),
-    }
-    parser["clebsch_weights"] = {
-        f"{g}/{e}/{pol}": repr(w) for (g, e, pol), w in scheme.clebsch_weights
-    }
-    parser["control"] = {
-        "intensity": repr(cfg.control.intensity),
-        "power_w": repr(cfg.control.power_w),
-        "one_photon_detuning_rad": repr(cfg.control.one_photon_detuning_rad),
-        "polarization": cfg.control.polarization,
-        "angle_alpha_rad": repr(cfg.control.angle_alpha_rad),
-        "readout_intensity": (
-            "" if cfg.control.readout_intensity is None else repr(cfg.control.readout_intensity)
-        ),
-    }
-    parser["signal"] = {
-        "intensity": repr(cfg.signal.intensity),
-        "power_w": repr(cfg.signal.power_w),
-        "one_photon_detuning_rad": repr(cfg.signal.one_photon_detuning_rad),
-        "polarization": cfg.signal.polarization,
-        "angle_alpha_rad": repr(cfg.signal.angle_alpha_rad),
-    }
-    parser["magnetic"] = {
-        "b0_gauss": repr(cfg.magnetic.b0_gauss),
-        "g_f": repr(cfg.magnetic.g_f),
-        "mu_b_over_h_hz_per_gauss": repr(cfg.magnetic.mu_b_over_h_hz_per_gauss),
-    }
-    parser["experiment"] = {
-        "delta_r_hz": repr(cfg.delta_r_hz),
-        "sample_rate_hz": repr(cfg.sample_rate_hz),
-        "trace_noise_sigma": repr(cfg.trace_noise_sigma),
-        "control_leak_fraction": repr(cfg.control_leak_fraction),
-        "storage_efficiency": repr(cfg.storage_efficiency),
-        "retrieval_decay_time_s": repr(cfg.retrieval_decay_time_s),
-        "rng_seed": str(cfg.rng_seed),
-        "kappa_rad2": repr(cfg.kappa_rad2),
-        "od_eff": repr(cfg.od_eff),
-        "coupling_gn_rad": repr(cfg.coupling_gn_rad),
-        "include_second_excited": str(cfg.include_second_excited).lower(),
-    }
-    coupling_lines = "\n" + "\n".join(
-        f"{c.detuning_rad!r} {c.cg_sq!r}" for c in cfg.light_shift.couplings
-    )
-    parser["light_shift"] = {
-        "linewidth_rad": repr(cfg.light_shift.linewidth_rad),
-        "couplings": coupling_lines if cfg.light_shift.couplings else "",
-    }
-    seq = loaded.sequence
-    parser["pulse_sequence"] = {
-        "preparation_s": repr(seq.phase("preparation").duration),
-        "input_s": repr(seq.phase("input").duration),
-        "storage_s": repr(seq.phase("storage").duration),
-        "readout_s": repr(seq.phase("readout").duration),
-    }
-    study = loaded.study
-    parser["study"] = {
-        "delta_r_grid_hz": _grid_str(study.delta_r_grid_hz),
-        "dark_resonance_grid_hz": _grid_str(study.dark_resonance_grid_hz),
-        "control_intensity_grid": _grid_str(study.control_intensity_grid),
-        "signal_intensity_grid": _grid_str(study.signal_intensity_grid),
-        "repetitions": str(study.repetitions),
-        "average_mode": study.average_mode,
-    }
-    parser["analysis"] = {
-        "guard_s": repr(study.guard_s),
-        "input_window_s": (
-            "" if study.input_window_s is None
-            else f"{study.input_window_s[0]!r}, {study.input_window_s[1]!r}"
-        ),
-        "retrieved_window_s": (
-            "" if study.retrieved_window_s is None
-            else f"{study.retrieved_window_s[0]!r}, {study.retrieved_window_s[1]!r}"
-        ),
-    }
-    if plan_kind is not None or plan_seed_base is not None:
-        plan: dict[str, str] = {}
-        if plan_kind is not None:
-            plan["kind"] = plan_kind
-        if plan_seed_base is not None:
-            plan["seed_base"] = str(plan_seed_base)
-        parser["plan"] = plan
+    for section, (target, keys) in _FORMAT.items():
+        obj = objects[target]
+        items = {key: obj[key] for key in (obj if keys is None else keys)}
+        if section == "plan":  # an unset plan value is left out, and so is an empty [plan]
+            items = {key: value for key, value in items.items() if value is not None}
+            if not items:
+                continue
+        parser[section] = {key: _format(value) for key, value in items.items()}
     with open(path, "w") as fh:
         parser.write(fh)
 

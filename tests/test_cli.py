@@ -83,6 +83,20 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_malformed_config_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("delta_r_hz = 5\n")  # no section header
+    code = main(["spectroscopy", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_fit_rejects_study_options(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(tmp_path / "trace.csv"), "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 1
+
+
 def test_numerical_failure_exits_2(tmp_path, small_config, capsys):
     # zero storage efficiency kills every retrieved fit
     text = small_config.read_text().replace(

@@ -1,12 +1,41 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from lightstore.configfile import (
+    _make_parser,
     default_config,
     dump_config,
     load_config,
     write_default_config,
 )
 from lightstore.model import ConfigurationError
+
+
+def _dumped_keys() -> list[tuple[str, str, str]]:
+    """(section, key, value) of every key a run snapshot of the defaults holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "default.cfg"
+        dump_config(default_config(), path, plan_kind="spectroscopy", plan_seed_base=1)
+        parser = _make_parser()
+        parser.read(path)
+    return [(section, key, value) for section in parser.sections()
+            if section != "clebsch_weights" for key, value in parser[section].items()]
+
+
+DUMPED_KEYS = _dumped_keys()
+# keys whose parser takes any text, so "abc" is not a parse error there
+TEXT_KEYS = {"ground_minus_label", "ground_plus_label", "excited_label",
+             "second_excited_label", "polarization", "average_mode", "kind"}
+
+
+def _write_single_key(path, section: str, key: str, value: str) -> None:
+    """Write through configparser, which keeps multi-line values valid."""
+    parser = _make_parser()
+    parser[section] = {key: value}
+    with open(path, "w") as fh:
+        parser.write(fh)
 
 
 def test_round_trip_is_identity(tmp_path):
@@ -135,4 +164,46 @@ def test_bad_clebsch_key_rejected(tmp_path):
     path = tmp_path / "cg.cfg"
     path.write_text("[clebsch_weights]\ng_minus/e = 0.5\n")
     with pytest.raises(ConfigurationError, match="ground/excited/polarization"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [k for k in DUMPED_KEYS if k[0] != "plan"],
+    ids=[f"{s}.{k}" for s, k, _ in DUMPED_KEYS if s != "plan"],
+)
+def test_every_dumped_key_loads_alone_to_the_defaults(tmp_path, section, key, value):
+    path = tmp_path / "one.cfg"
+    _write_single_key(path, section, key, value)
+    loaded = load_config(path)
+    base = default_config()
+    assert loaded.config == base.config
+    assert loaded.study == base.study
+    assert (loaded.plan_kind, loaded.plan_seed_base) == (None, None)
+    for a, b in zip(base.sequence.segments, loaded.sequence.segments, strict=True):
+        assert a.name == b.name
+        assert a.t_start == pytest.approx(b.t_start, abs=1e-15)
+        assert a.t_end == pytest.approx(b.t_end, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [(s, k) for s, k, _ in DUMPED_KEYS if k not in TEXT_KEYS],
+    ids=[f"{s}.{k}" for s, k, _ in DUMPED_KEYS if k not in TEXT_KEYS],
+)
+def test_unparsable_value_names_its_section_and_key(tmp_path, section, key):
+    path = tmp_path / "bad.cfg"
+    _write_single_key(path, section, key, "abc")
+    with pytest.raises(ConfigurationError, match=rf"^\[{section}\] {key}: "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    "delta_r_hz = 5\n",
+    "[experiment]\ndelta_r_hz = 1\ndelta_r_hz = 2\n",
+], ids=["no-section-header", "duplicate-key"])
+def test_malformed_file_is_a_configuration_error(tmp_path, text):
+    path = tmp_path / "malformed.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="malformed config file .*malformed.cfg"):
         load_config(path)
