@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .model import (
     TWO_PI,
@@ -35,7 +35,6 @@ __all__ = [
     "SpectrumPoint",
     "LightShiftModel",
     "ShiftCoupling",
-    "IntegrationError",
     "DegenerateSteadyStateError",
     "build_hamiltonian",
     "collapse_operators",
@@ -51,10 +50,6 @@ __all__ = [
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
-
-
-class IntegrationError(RuntimeError):
-    """Master-equation integration failed (stiffness or step underflow)."""
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -243,40 +238,21 @@ def _segment_liouvillian(config: ExperimentConfig, control_on: bool, signal_on: 
     return liouvillian(h, collapse_operators(config.level_scheme, config.include_second_excited))
 
 
-def default_dt_max(config: ExperimentConfig) -> float:
-    """Step bound 1/(50 x largest frequency scale of the problem)."""
-    scales_rad = [
-        config.level_scheme.gamma_e_rad,
-        config.level_scheme.gamma_gg_rad,
-        config.control.rabi_frequency_rad,
-        config.signal.rabi_frequency_rad,
-        abs(config.control.one_photon_detuning_rad),
-        abs(config.signal.one_photon_detuning_rad),
-        TWO_PI * abs(config.delta_r_hz),
-    ]
-    fastest_hz = max(scales_rad) / TWO_PI
-    if fastest_hz <= 0.0:
-        return np.inf
-    return 1.0 / (50.0 * fastest_hz)
-
-
 def evolve(
     rho0: DensityMatrix,
     config: ExperimentConfig,
     sequence: PulseSequence,
-    dt_max: float | None = None,
     samples_per_segment: int = 25,
 ) -> list[DensityMatrix]:
-    """Integrate the master equation through the pulse sequence.
+    """Propagate the master equation through the pulse sequence.
 
-    Fields are piecewise constant per segment; the adaptive step never
-    exceeds dt_max.  Returns states sampled uniformly inside each segment
-    (boundaries included); the initial state is the first entry.
+    Fields are constant within each segment, so one matrix exponential of
+    the segment's generator over the sample spacing propagates exactly.
+    Returns states sampled uniformly inside each segment (boundaries
+    included); the initial state is the first entry.
     """
-    if dt_max is None:
-        dt_max = default_dt_max(config)
-    if not dt_max > 0.0:
-        raise ValueError("dt_max must be > 0")
+    if samples_per_segment < 2:
+        raise ValueError("samples_per_segment must be >= 2")
     n = rho0.matrix.shape[0]
     expected = 4 if config.include_second_excited else 3
     if n != expected:
@@ -285,26 +261,18 @@ def evolve(
     y = np.array(rho0.matrix, dtype=complex).reshape(-1)
     for seg in sequence.segments:
         gen = _segment_liouvillian(config, seg.control_on, seg.signal_on)
-        t_eval = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
-        sol = solve_ivp(
-            lambda t, v: gen @ v,
-            (seg.t_start, seg.t_end),
-            y,
-            method="RK45",
-            t_eval=t_eval,
-            max_step=dt_max,
-            rtol=1e-10,
-            atol=1e-13,
-        )
-        if not sol.success:
-            raise IntegrationError(
-                f"integration failed in segment {seg.name!r} at t ~ {sol.t[-1]:.3e} s: "
-                f"{sol.message}"
-            )
-        for k in range(1, sol.t.size):
-            states.append(DensityMatrix(sol.y[:, k].reshape(n, n), float(sol.t[k])))
-        y = sol.y[:, -1]
+        ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
+        step = expm(gen * (ts[1] - ts[0]))
+        for t in ts[1:]:
+            y = step @ y
+            states.append(DensityMatrix(y.reshape(n, n), float(t)))
     return states
+
+
+def _normalized_generator(config: ExperimentConfig) -> np.ndarray:
+    """Driven generator divided by its largest entry, i.e. its fastest rate."""
+    gen = _segment_liouvillian(config, control_on=True, signal_on=True)
+    return gen / float(np.max(np.abs(gen)))
 
 
 def steady_state_residual(config: ExperimentConfig, state: DensityMatrix) -> float:
@@ -313,9 +281,8 @@ def steady_state_residual(config: ExperimentConfig, state: DensityMatrix) -> flo
     The generator is divided by its fastest rate so the residual is
     dimensionless and comparable across drive strengths.
     """
-    gen = _segment_liouvillian(config, control_on=True, signal_on=True)
-    scale = float(np.max(np.abs(gen)))
-    return float(np.linalg.norm(gen @ state.matrix.reshape(-1))) / scale
+    gen_n = _normalized_generator(config)
+    return float(np.linalg.norm(gen_n @ state.matrix.reshape(-1)))
 
 
 def steady_state(config: ExperimentConfig) -> DensityMatrix:
@@ -328,10 +295,8 @@ def steady_state(config: ExperimentConfig) -> DensityMatrix:
     scheme = config.level_scheme
     if scheme.gamma_e_rad <= 0.0 and scheme.gamma_gg_rad <= 0.0:
         raise DegenerateSteadyStateError("no decay channel; steady state undefined")
-    gen = _segment_liouvillian(config, control_on=True, signal_on=True)
-    scale = float(np.max(np.abs(gen)))
-    gen_n = gen / scale
-    n = int(np.sqrt(gen.shape[0]))
+    gen_n = _normalized_generator(config)
+    n = int(np.sqrt(gen_n.shape[0]))
     svals = np.linalg.svd(gen_n, compute_uv=False)
     zero_modes = int(np.sum(svals < 1e-10 * svals[0]))
     if zero_modes > 1:

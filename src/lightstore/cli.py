@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import FitError
-from .atom import DegenerateSteadyStateError, IntegrationError
+from .atom import DegenerateSteadyStateError
 from .configfile import default_config, load_config, write_default_config
 from .model import ConfigurationError
 from .orchestrator import (
@@ -200,8 +200,8 @@ def main(argv=None) -> int:
     except TraceParseError as exc:
         print(f"trace parse error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FitError, IntegrationError, DegenerateSteadyStateError,
-            OrchestrationError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (FitError, DegenerateSteadyStateError, OrchestrationError,
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -191,6 +191,13 @@ def _parse_couplings(raw: str) -> tuple[ShiftCoupling, ...]:
     return tuple(couplings)
 
 
+def _non_negative(raw: str) -> float:
+    value = float(raw)
+    if not value >= 0.0:
+        raise ValueError(f"must be >= 0, got {raw.strip()!r}")
+    return value
+
+
 def _optional(parse):
     """Parser that reads an empty value as None."""
     def read(raw: str):
@@ -209,7 +216,7 @@ def _transition(key: str) -> tuple[str, str, str]:
 
 
 _FIELD_KEYS = {
-    "intensity": float, "power_w": float, "one_photon_detuning_rad": float,
+    "intensity": _non_negative, "power_w": float, "one_photon_detuning_rad": float,
     "polarization": str, "angle_alpha_rad": float,
 }
 
@@ -228,7 +235,7 @@ _FORMAT = {
     # file's section replaces the weights whole, else they follow the labels
     "clebsch_weights": ("clebsch_weights", None),
     # readout_intensity: retrieval drive, empty = same as intensity
-    "control": ("control", {**_FIELD_KEYS, "readout_intensity": _optional(float)}),
+    "control": ("control", {**_FIELD_KEYS, "readout_intensity": _optional(_non_negative)}),
     "signal": ("signal", _FIELD_KEYS),
     "magnetic": ("magnetic", {
         "b0_gauss": float, "g_f": float, "mu_b_over_h_hz_per_gauss": float,
@@ -236,7 +243,7 @@ _FORMAT = {
     "experiment": ("config", {
         "delta_r_hz": float, "sample_rate_hz": float, "trace_noise_sigma": float,
         "control_leak_fraction": float, "storage_efficiency": float,
-        "retrieval_decay_time_s": float, "rng_seed": int, "kappa_rad2": float,
+        "retrieval_decay_time_s": float, "rng_seed": int, "kappa_rad2": _non_negative,
         "od_eff": float, "coupling_gn_rad": float, "include_second_excited": _parse_bool,
     }),
     # couplings: one "detuning_rad cg_sq" pair per line
@@ -282,6 +289,8 @@ def load_config(path: "str | Path") -> LoadedExperiment:
         raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
+    if parser.defaults():
+        raise ConfigurationError(f"malformed config file {path}: [DEFAULT] section is not allowed")
     values: dict[str, dict] = {target: {} for target, _ in _FORMAT.values()}
     for section in parser.sections():
         if section not in _FORMAT:

@@ -136,9 +136,22 @@ class TestEvolve:
             population = float(np.real(dark @ s.matrix @ dark))
             assert population == pytest.approx(1.0, abs=1e-8)
 
-    def test_bad_dt_max_rejected(self, config, sequence):
-        with pytest.raises(ValueError):
-            evolve(DensityMatrix.pure(3, 0), config, sequence, dt_max=-1.0)
+    def test_segment_boundaries_do_not_depend_on_sampling(self, config):
+        # the propagation is exact, so sampling a segment more finely only
+        # adds states in between and leaves every boundary state unchanged
+        rho0 = DensityMatrix(np.diag([0.4, 0.6, 0.0]).astype(complex))
+        short = PulseSequence.standard(8e-6, 8e-6, 2e-6, 8e-6)
+        coarse = evolve(rho0, config, short, samples_per_segment=3)
+        fine = evolve(rho0, config, short, samples_per_segment=9)
+        for k in range(len(short.segments) + 1):
+            a, b = coarse[2 * k], fine[8 * k]
+            assert a.time_s == b.time_s
+            assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_per_segment_rejected(self, config, sequence, samples):
+        with pytest.raises(ValueError, match="samples_per_segment"):
+            evolve(DensityMatrix.pure(3, 0), config, sequence, samples_per_segment=samples)
 
     def test_dimension_mismatch_rejected(self, config, sequence):
         with pytest.raises(ConfigurationError):

@@ -166,9 +166,9 @@ def test_cold_start_leaves_scipy_stats_unimported():
         "from lightstore.configfile import default_config\n"
         "from lightstore.orchestrator import StudyPlan, run_spectroscopy\n"
         "run_spectroscopy(StudyPlan.from_loaded(default_config(), 'spectroscopy', seed_base=1))\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "print([m for m in ('stats', 'integrate') if 'scipy.' + m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lightstore.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

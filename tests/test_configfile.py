@@ -198,10 +198,22 @@ def test_unparsable_value_names_its_section_and_key(tmp_path, section, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("section,key", [
+    ("control", "intensity"), ("signal", "intensity"),
+    ("experiment", "kappa_rad2"), ("control", "readout_intensity"),
+])
+def test_negative_value_names_its_section_and_key(tmp_path, section, key):
+    path = tmp_path / "bad.cfg"
+    _write_single_key(path, section, key, "-1")
+    with pytest.raises(ConfigurationError, match=rf"^\[{section}\] {key}: must be >= 0"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("text", [
     "delta_r_hz = 5\n",
     "[experiment]\ndelta_r_hz = 1\ndelta_r_hz = 2\n",
-], ids=["no-section-header", "duplicate-key"])
+    "[DEFAULT]\ndelta_r_hz = 5\n",
+], ids=["no-section-header", "duplicate-key", "default-section"])
 def test_malformed_file_is_a_configuration_error(tmp_path, text):
     path = tmp_path / "malformed.cfg"
     path.write_text(text)
