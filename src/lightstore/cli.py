@@ -3,7 +3,8 @@
 Subcommands: dark-resonance, spectroscopy, control-sweep, signal-sweep, fit,
 init-config.  Exit codes: 0 success, 1 configuration error, 2 numerical
 failure, 3 I/O error.  The job count comes from --jobs, else the
-LIGHTSTORE_JOBS environment variable, else 1.
+LIGHTSTORE_JOBS environment variable, else 1; a count below 1 is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -91,11 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_jobs(args) -> int:
     if args.jobs is not None:
-        return max(1, args.jobs)
+        return args.jobs
     env = os.environ.get(JOBS_ENV_VAR, "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise ConfigurationError(f"bad {JOBS_ENV_VAR} value {env!r}") from exc
     return 1

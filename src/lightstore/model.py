@@ -103,10 +103,6 @@ class LevelScheme:
                 return w
         return 0.0
 
-    @property
-    def n_levels(self) -> int:
-        return 4 if self.second_excited_label is not None else 3
-
 
 @dataclass(frozen=True)
 class FieldConfig:

@@ -5,9 +5,11 @@ spectroscopy over a Raman-detuning grid, retrieval-intensity sweep, input
 signal-intensity sweep) plus stand-alone fitting of trace files.  Every run
 writes the same layout: a plan.cfg snapshot that reloads to the exact
 configuration, per-point traces and fit tables, a summary.csv, a result.csv
-of scalar outcomes, and two-column plotdata files.  Identical seeds yield
-byte-identical summary CSVs whether points are evaluated serially or in a
-process pool.
+of scalar outcomes, two-column plotdata files and a run.json of metadata.
+The task that measures a detuning point, in the parent or in a pool worker,
+writes that point's directory; the parent writes the run-level files.
+Identical seeds yield byte-identical files, apart from run.json's timing,
+whether points are evaluated serially or in a process pool.
 """
 
 from __future__ import annotations
@@ -158,7 +160,6 @@ class PointRecord:
     values: dict[str, float] = field(default_factory=dict)
     error: str | None = None
     fits: tuple[tuple[str, BeatFitResult], ...] = ()
-    trace_arrays: tuple[np.ndarray, ...] = ()
 
     @property
     def excluded(self) -> bool:
@@ -214,20 +215,16 @@ def _analyze_point(
 ) -> PointRecord:
     """Fit one detuning point's traces; fresh runs and re-analysis both call this.
 
-    average-traces fits the mean of the traces (the mean of one re-read
-    trace is that trace); fit-then-average fits each trace and takes the
-    weighted mean of the frequencies.  A FitError excludes the point.  The
-    record keeps the arrays of the traces it fitted, excluded or not.
+    The traces are the ones a run persists: with average-traces the one
+    mean trace, whose fits are the point's values; with fit-then-average
+    one trace per repetition, whose frequencies are combined by weighted
+    mean.  A FitError excludes the point.
     """
-    if average_mode == AVERAGE_TRACES:
-        traces = [replace(traces[0], samples=np.mean([tr.samples for tr in traces], axis=0))]
-    arrays = tuple(tr.samples for tr in traces)
     try:
         pairs = [(fit_beat(tr, w_in, with_envelope=False), fit_beat(tr, w_ret, with_envelope=True))
                  for tr in traces]
     except FitError as exc:
-        return PointRecord(index=index, x=x, error=f"{type(exc).__name__}: {exc}",
-                           trace_arrays=arrays)
+        return PointRecord(index=index, x=x, error=f"{type(exc).__name__}: {exc}")
     if average_mode == AVERAGE_TRACES:
         [(fit_in, fit_ret)] = pairs
         fits = (("input", fit_in), ("retrieved", fit_ret))
@@ -237,31 +234,45 @@ def _analyze_point(
                      for name, fit in zip(("input", "retrieved"), pair))
         values = (*_weighted_mean([fi for fi, _ in pairs]),
                   *_weighted_mean([fr for _, fr in pairs]))
-    return PointRecord(index=index, x=x, values=dict(zip(POINT_KEYS, values)),
-                       fits=fits, trace_arrays=arrays)
+    return PointRecord(index=index, x=x, values=dict(zip(POINT_KEYS, values)), fits=fits)
 
 
-def _measure_point(args: tuple) -> PointRecord:
-    """Synthesize the repetitions of one detuning point and analyze them.
+def _measure_point(task: tuple[StudyPlan, int]) -> PointRecord:
+    """Synthesize, analyze and persist one detuning point of a spectroscopy plan.
 
-    Module-level so a process pool can pickle it; the record carries the
-    trace arrays back to the parent only when the run persists them.
+    Module-level so a process pool can pickle it.  With average-traces the
+    repetitions are averaged into one trace first.  When the plan has an
+    output directory, the task writes ``points/<index>/``: fits.csv for a
+    usable point and, if the plan persists traces, the traces it fitted,
+    excluded point or not.
     """
-    (index, delta_r, config, sequence, study, seed_base, keep_traces) = args
+    plan, index = task
+    delta_r = float(plan.grid[index])
     traces = [
         simulate_storage(
-            replace(config, delta_r_hz=delta_r, rng_seed=point_seed(seed_base, index, rep)),
-            sequence,
+            replace(plan.config, delta_r_hz=delta_r,
+                    rng_seed=point_seed(plan.seed_base, index, rep)),
+            plan.sequence,
         )
-        for rep in range(study.repetitions)
+        for rep in range(plan.study.repetitions)
     ]
-    point = _analyze_point(
-        index, delta_r, traces, *default_windows(sequence, study), study.average_mode
-    )
-    return point if keep_traces else replace(point, trace_arrays=())
+    if plan.study.average_mode == AVERAGE_TRACES:
+        traces = [replace(traces[0], samples=np.mean([tr.samples for tr in traces], axis=0))]
+    point = _analyze_point(index, delta_r, traces,
+                           *default_windows(plan.sequence, plan.study), plan.study.average_mode)
+    if plan.out_dir is not None:
+        point_dir = plan.out_dir / "points" / str(index)
+        point_dir.mkdir(parents=True, exist_ok=True)
+        if point.fits:
+            write_fits_csv(list(point.fits), point_dir / "fits.csv")
+        if plan.persist_traces:
+            for k, trace in enumerate(traces):
+                write_trace_csv(trace, point_dir / ("trace.csv" if len(traces) == 1
+                                                    else f"trace_rep{k}.csv"))
+    return point
 
 
-def _map_points(plan: StudyPlan, tasks: list[tuple]) -> list[PointRecord]:
+def _map_points(plan: StudyPlan, tasks: list[tuple[StudyPlan, int]]) -> list[PointRecord]:
     if plan.jobs > 1:
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
             return list(pool.map(_measure_point, tasks))
@@ -324,26 +335,6 @@ def _line_endpoints(fit: LineFit, xs) -> tuple[list, list]:
     return [lo, hi], [float(fit.predict(lo)), float(fit.predict(hi))]
 
 
-def _persist_point(point: PointRecord, point_dir: Path, plan: StudyPlan) -> list[str]:
-    point_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    if point.fits:
-        write_fits_csv(list(point.fits), point_dir / "fits.csv")
-    if plan.persist_traces and point.trace_arrays:
-        single = len(point.trace_arrays) == 1
-        for k, samples in enumerate(point.trace_arrays):
-            name = "trace.csv" if single else f"trace_rep{k}.csv"
-            trace = PhotodiodeTrace(
-                t0_s=plan.sequence.t_start,
-                sample_rate_hz=plan.config.sample_rate_hz,
-                samples=samples,
-                phase_markers=plan.sequence.boundaries,
-            )
-            write_trace_csv(trace, point_dir / name)
-            paths.append(str(point_dir / name))
-    return paths
-
-
 def _start_run(plan: StudyPlan) -> tuple[StudyPlan, float, str]:
     """Persist the plan snapshot and canonicalize the plan through it.
 
@@ -371,7 +362,6 @@ def _finish_run(
     summary: tuple[tuple[str, float], ...],
     t_start: float,
     started_at: str,
-    trace_paths: "list[str] | tuple" = (),
 ) -> RunRecord:
     """Write result.csv, then run.json, and return the run's record."""
     record = RunRecord(
@@ -395,7 +385,6 @@ def _finish_run(
             "elapsed_s": record.elapsed_s,
             "n_points": len(record.points),
             "n_excluded": sum(p.excluded for p in record.points),
-            "trace_paths": list(trace_paths),
         }
         with open(plan.out_dir / "run.json", "w") as fh:
             json.dump(meta, fh, indent=2)
@@ -406,7 +395,7 @@ def _finish_run(
 # -- studies -----------------------------------------------------------------
 
 
-def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str, list[tuple]]:
+def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str, list[tuple[StudyPlan, int]]]:
     """Check the grid, start the run and build one pool task per detuning."""
     grid = plan.study.delta_r_grid_hz
     window_est = _eit_window_estimate_hz(plan.config)
@@ -417,18 +406,13 @@ def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str, list[
             stacklevel=3,
         )
     plan, t0, started = _start_run(plan)
-    tasks = [
-        (i, float(d), plan.config, plan.sequence, plan.study, plan.seed_base,
-         plan.out_dir is not None and plan.persist_traces)
-        for i, d in enumerate(grid)
-    ]
-    return plan, t0, started, tasks
+    return plan, t0, started, [(plan, i) for i in range(len(grid))]
 
 
 def _finish_spectroscopy(
     plan: StudyPlan, t0: float, started: str, points: tuple[PointRecord, ...]
 ) -> tuple[SpectroscopyResult, RunRecord]:
-    """Intersect the lines of the measured points and persist the run."""
+    """Intersect the lines of the measured points and write the run-level files."""
     result = _spectroscopy_result(points)
     summary = (
         ("input_slope", result.input_fit.slope),
@@ -445,10 +429,7 @@ def _finish_spectroscopy(
         ("delta_f_ac_err_hz", result.delta_f_ac_err_hz),
     )
 
-    trace_paths: list[str] = []
     if plan.out_dir is not None:
-        for p in points:
-            trace_paths += _persist_point(p, plan.out_dir / "points" / str(p.index), plan)
         _write_summary_csv(plan.out_dir / "summary.csv", points, "delta_r_hz", POINT_KEYS)
         xs = [p.delta_r_hz for p in result.points]
         _write_plot_xy(plan.out_dir / "plotdata" / "input_points.csv",
@@ -460,7 +441,7 @@ def _finish_spectroscopy(
         _write_plot_xy(plan.out_dir / "plotdata" / "retrieved_line.csv",
                        *_line_endpoints(result.retrieved_fit, xs))
 
-    return result, _finish_run(plan, points, summary, t0, started, trace_paths)
+    return result, _finish_run(plan, points, summary, t0, started)
 
 
 def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:

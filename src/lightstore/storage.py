@@ -105,7 +105,6 @@ class PhotodiodeTrace:
     t0_s: float
     sample_rate_hz: float
     samples: np.ndarray
-    phase_markers: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=float)
@@ -218,12 +217,7 @@ def simulate_storage(config: ExperimentConfig, sequence: PulseSequence) -> Photo
         rng = np.random.default_rng(config.rng_seed)
         signal = signal + rng.normal(0.0, config.trace_noise_sigma, n_total)
 
-    return PhotodiodeTrace(
-        t0_s=t0,
-        sample_rate_hz=fs,
-        samples=signal,
-        phase_markers=sequence.boundaries,
-    )
+    return PhotodiodeTrace(t0_s=t0, sample_rate_hz=fs, samples=signal)
 
 
 # -- trace file format -------------------------------------------------------

@@ -159,6 +159,18 @@ def test_bad_jobs_env_var_rejected(tmp_path, small_config, monkeypatch, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0")])
+def test_jobs_below_one_rejected(tmp_path, small_config, monkeypatch, capsys, flag, env):
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(JOBS_ENV_VAR, env)
+    argv = ["spectroscopy", "--config", str(small_config), "--out", str(tmp_path / "o")]
+    code = main(argv + (["--jobs", flag] if flag is not None else []))
+    assert code == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cold_start_leaves_scipy_stats_unimported():
     code = (
         "import sys\n"

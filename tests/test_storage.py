@@ -193,10 +193,6 @@ class TestSimulateStorage:
         with pytest.raises(ConfigurationError, match="Nyquist"):
             simulate_storage(cfg, loaded.sequence)
 
-    def test_phase_markers_are_segment_edges(self, loaded):
-        trace = simulate_storage(loaded.config, loaded.sequence)
-        assert trace.phase_markers == loaded.sequence.boundaries
-
 
 class TestTraceCsv:
     def test_round_trip_identical(self, loaded, tmp_path):
