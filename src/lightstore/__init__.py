@@ -12,6 +12,5 @@ from .model import (  # noqa: F401
     PulseSequence,
     ShiftCoupling,
     rabi_from_intensity,
-    two_photon_detuning,
 )
 from .configfile import default_config, load_config, dump_config  # noqa: F401

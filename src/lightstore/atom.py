@@ -37,8 +37,6 @@ __all__ = [
     "ShiftCoupling",
     "DegenerateSteadyStateError",
     "build_hamiltonian",
-    "collapse_operators",
-    "liouvillian",
     "evolve",
     "steady_state",
     "transmission_spectrum",
@@ -116,50 +114,21 @@ class SpectrumPoint:
             raise ValueError(f"transmission {self.transmission} outside [0, 1]")
 
 
-def _leg_rabis(
-    scheme: LevelScheme, control: FieldConfig, signal: FieldConfig, include_second: bool
-) -> dict[tuple[int, int], float]:
-    """Coupling of each driven leg, keyed by (ground index, excited index).
-
-    The fields' stored Rabi frequencies carry the primary-leg amplitude; the
-    second-level legs are rescaled by the amplitude ratio.
-    """
-    cg_s = scheme.weight(scheme.ground_minus_label, scheme.excited_label, signal.polarization)
-    cg_c = scheme.weight(scheme.ground_plus_label, scheme.excited_label, control.polarization)
-    if signal.rabi_frequency_rad > 0.0 and cg_s == 0.0:
-        raise ConfigurationError(
-            f"signal field ({signal.polarization}) does not address the "
-            f"{scheme.ground_minus_label}-{scheme.excited_label} leg"
-        )
-    if control.rabi_frequency_rad > 0.0 and cg_c == 0.0:
-        raise ConfigurationError(
-            f"control field ({control.polarization}) does not address the "
-            f"{scheme.ground_plus_label}-{scheme.excited_label} leg"
-        )
-    legs = {(0, 2): signal.rabi_frequency_rad, (1, 2): control.rabi_frequency_rad}
-    if include_second:
-        cg_s2 = scheme.weight(
-            scheme.ground_minus_label, scheme.second_excited_label, signal.polarization
-        )
-        cg_c2 = scheme.weight(
-            scheme.ground_plus_label, scheme.second_excited_label, control.polarization
-        )
-        legs[(0, 3)] = signal.rabi_frequency_rad * (cg_s2 / cg_s) if cg_s else 0.0
-        legs[(1, 3)] = control.rabi_frequency_rad * (cg_c2 / cg_c) if cg_c else 0.0
-    return legs
-
-
 def build_hamiltonian(
     scheme: LevelScheme,
     control: FieldConfig,
     signal: FieldConfig,
     delta_r_hz: float,
     include_second_excited: bool = False,
+    control_on: bool = True,
+    signal_on: bool = True,
 ) -> np.ndarray:
     """Rotating-frame Hamiltonian (rad/s) of the driven system.
 
     Diagonal entries encode the one- and two-photon detunings; off-diagonal
-    entries are -Omega/2 on each driven leg.  With both drives off the
+    entries are -Omega/2 on each leg of a drive that is on.  The fields'
+    stored Rabi frequencies carry the primary-leg amplitude; the second-level
+    legs are rescaled by the amplitude ratio.  With both drives off the
     matrix is diagonal.
     """
     if include_second_excited and scheme.second_excited_label is None:
@@ -171,20 +140,49 @@ def build_hamiltonian(
     h[2, 2] = -delta_s
     if include_second_excited:
         h[3, 3] = -delta_s + TWO_PI * scheme.second_excited_offset_hz
-    for (i, j), omega in _leg_rabis(scheme, control, signal, include_second_excited).items():
-        h[i, j] = h[j, i] = -0.5 * omega
+    for name, field, on, g, g_label in (
+        ("signal", signal, signal_on, 0, scheme.ground_minus_label),
+        ("control", control, control_on, 1, scheme.ground_plus_label),
+    ):
+        if not on:
+            continue
+        cg = scheme.weight(g_label, scheme.excited_label, field.polarization)
+        if field.rabi_frequency_rad > 0.0 and cg == 0.0:
+            raise ConfigurationError(
+                f"{name} field ({field.polarization}) does not address the "
+                f"{g_label}-{scheme.excited_label} leg"
+            )
+        h[g, 2] = h[2, g] = -0.5 * field.rabi_frequency_rad
+        if include_second_excited:
+            cg2 = scheme.weight(g_label, scheme.second_excited_label, field.polarization)
+            omega2 = field.rabi_frequency_rad * (cg2 / cg) if cg else 0.0
+            h[g, 3] = h[3, g] = -0.5 * omega2
     return h
 
 
-def collapse_operators(scheme: LevelScheme, include_second_excited: bool = False) -> list[np.ndarray]:
-    """Lindblad jump operators: radiative decay plus ground dephasing."""
-    if include_second_excited and scheme.second_excited_label is None:
-        raise ConfigurationError("scheme has no second excited level")
-    n = 4 if include_second_excited else 3
+def optical_coherence_rate(scheme: LevelScheme) -> float:
+    """Decay rate (rad/s) of the ground-excited coherence in this model."""
+    return 0.5 * scheme.gamma_e_rad + 0.25 * scheme.gamma_gg_rad
+
+
+def _generator(
+    config: ExperimentConfig, control_on: bool = True, signal_on: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lindblad generator L0 + delta_R * L1 (delta_R in Hz) on row-major vectorized states.
+
+    Only the drives that are on add Hamiltonian terms.  The Raman detuning
+    enters on one diagonal entry of H, so L1 is diagonal and all points of a
+    spectrum share L0.
+    """
+    scheme, second = config.level_scheme, config.include_second_excited
+    h0 = build_hamiltonian(
+        scheme, config.control, config.signal, 0.0, second, control_on, signal_on
+    )
+    n = h0.shape[0]
+    eye = np.eye(n)
+    gen0 = -1j * (np.kron(h0, eye) - np.kron(eye, h0.T))
     ops: list[np.ndarray] = []
-    excited = [(2, scheme.excited_label)]
-    if include_second_excited:
-        excited.append((3, scheme.second_excited_label))
+    excited = [(2, scheme.excited_label)] + ([(3, scheme.second_excited_label)] if second else [])
     grounds = [
         (0, scheme.ground_minus_label, "sigma_plus"),
         (1, scheme.ground_plus_label, "sigma_minus"),
@@ -205,37 +203,13 @@ def collapse_operators(scheme: LevelScheme, include_second_excited: bool = False
         deph[0, 0] = np.sqrt(scheme.gamma_gg_rad / 2.0)
         deph[1, 1] = -np.sqrt(scheme.gamma_gg_rad / 2.0)
         ops.append(deph)
-    return ops
-
-
-def liouvillian(h: np.ndarray, c_ops: list[np.ndarray]) -> np.ndarray:
-    """Matrix generator acting on row-major vectorized density matrices."""
-    n = h.shape[0]
-    eye = np.eye(n)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op in c_ops:
+    for op in ops:
         opdop = op.conj().T @ op
-        gen += np.kron(op, op.conj())
-        gen -= 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
-    return gen
-
-
-def optical_coherence_rate(scheme: LevelScheme) -> float:
-    """Decay rate (rad/s) of the ground-excited coherence in this model."""
-    return 0.5 * scheme.gamma_e_rad + 0.25 * scheme.gamma_gg_rad
-
-
-def _segment_liouvillian(config: ExperimentConfig, control_on: bool, signal_on: bool) -> np.ndarray:
-    control = config.control if control_on else replace(
-        config.control, intensity=0.0, rabi_frequency_rad=0.0
-    )
-    signal = config.signal if signal_on else replace(
-        config.signal, intensity=0.0, rabi_frequency_rad=0.0
-    )
-    h = build_hamiltonian(
-        config.level_scheme, control, signal, config.delta_r_hz, config.include_second_excited
-    )
-    return liouvillian(h, collapse_operators(config.level_scheme, config.include_second_excited))
+        gen0 += np.kron(op, op.conj())
+        gen0 -= 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
+    h1 = np.zeros(n)
+    h1[1] = -TWO_PI
+    return gen0, np.diag(-1j * (h1[:, None] - h1[None, :]).reshape(-1))
 
 
 def evolve(
@@ -260,19 +234,20 @@ def evolve(
     states = [DensityMatrix(rho0.matrix, sequence.t_start)]
     y = np.array(rho0.matrix, dtype=complex).reshape(-1)
     for seg in sequence.segments:
-        gen = _segment_liouvillian(config, seg.control_on, seg.signal_on)
+        gen0, gen1 = _generator(config, seg.control_on, seg.signal_on)
         ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
-        step = expm(gen * (ts[1] - ts[0]))
+        step = expm((gen0 + config.delta_r_hz * gen1) * (ts[1] - ts[0]))
         for t in ts[1:]:
             y = step @ y
             states.append(DensityMatrix(y.reshape(n, n), float(t)))
     return states
 
 
-def _normalized_generator(config: ExperimentConfig) -> np.ndarray:
-    """Driven generator divided by its largest entry, i.e. its fastest rate."""
-    gen = _segment_liouvillian(config, control_on=True, signal_on=True)
-    return gen / float(np.max(np.abs(gen)))
+def _normalized_generators(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarray:
+    """Driven generators at each Raman detuning, each divided by its fastest rate."""
+    gen0, gen1 = _generator(config)
+    gens = gen0 + deltas_hz[:, None, None] * gen1
+    return gens / np.max(np.abs(gens), axis=(1, 2), keepdims=True)
 
 
 def steady_state_residual(config: ExperimentConfig, state: DensityMatrix) -> float:
@@ -281,40 +256,54 @@ def steady_state_residual(config: ExperimentConfig, state: DensityMatrix) -> flo
     The generator is divided by its fastest rate so the residual is
     dimensionless and comparable across drive strengths.
     """
-    gen_n = _normalized_generator(config)
+    gen_n = _normalized_generators(config, np.array([config.delta_r_hz]))[0]
     return float(np.linalg.norm(gen_n @ state.matrix.reshape(-1)))
 
 
-def steady_state(config: ExperimentConfig) -> DensityMatrix:
-    """Stationary state of the driven, damped system.
+def _steady_states(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarray:
+    """Stationary density matrices, shape (k, n, n), at each Raman detuning.
 
-    Solves L rho = 0 with unit trace by dense least squares on the
-    rate-normalized generator and verifies the normalized residual is below
-    1e-10.
+    The first row of each rate-normalized generator is replaced by the trace
+    condition, and one stacked linear solve gives every state.  A point with
+    more than one zero mode or a normalized residual above 1e-10 is named in
+    the error.
     """
-    scheme = config.level_scheme
-    if scheme.gamma_e_rad <= 0.0 and scheme.gamma_gg_rad <= 0.0:
+    if config.level_scheme.gamma_e_rad <= 0.0 and config.level_scheme.gamma_gg_rad <= 0.0:
         raise DegenerateSteadyStateError("no decay channel; steady state undefined")
-    gen_n = _normalized_generator(config)
-    n = int(np.sqrt(gen_n.shape[0]))
-    svals = np.linalg.svd(gen_n, compute_uv=False)
-    zero_modes = int(np.sum(svals < 1e-10 * svals[0]))
-    if zero_modes > 1:
+    gens = _normalized_generators(config, deltas_hz)
+    k, m = gens.shape[:2]
+    n = int(np.sqrt(m))
+    svals = np.linalg.svd(gens, compute_uv=False)
+    zero_modes = np.sum(svals < 1e-10 * svals[:, :1], axis=1)
+    for i in np.flatnonzero(zero_modes > 1):
         raise DegenerateSteadyStateError(
-            f"steady space is degenerate: {zero_modes} zero modes "
-            f"(smallest normalized singular values {svals[-zero_modes:]})"
+            f"steady space at delta_r {float(deltas_hz[i])!r} Hz is degenerate: "
+            f"{zero_modes[i]} zero modes (smallest normalized singular values "
+            f"{svals[i, -zero_modes[i]:]})"
         )
-    a = np.vstack([gen_n, np.eye(n, dtype=complex).reshape(1, -1)])
-    b = np.zeros(n * n + 1, dtype=complex)
-    b[-1] = 1.0
-    vec, *_ = np.linalg.lstsq(a, b, rcond=None)
-    rho = vec.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    residual = float(np.linalg.norm(gen_n @ rho.reshape(-1)))
-    if residual > 1e-10:
-        raise DegenerateSteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    state = DensityMatrix(rho)
+    a = gens.copy()
+    a[:, 0, :] = np.eye(n).reshape(-1)
+    b = np.zeros((k, m, 1), dtype=complex)
+    b[:, 0] = 1.0
+    rho = np.linalg.solve(a, b).reshape(k, n, n)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    residuals = np.linalg.norm(gens @ rho.reshape(k, m, 1), axis=(1, 2))
+    for i in np.flatnonzero(residuals > 1e-10):
+        raise DegenerateSteadyStateError(
+            f"steady-state residual {residuals[i]:.3e} at delta_r {float(deltas_hz[i])!r} Hz "
+            "exceeds 1e-10"
+        )
+    return rho
+
+
+def steady_state(config: ExperimentConfig) -> DensityMatrix:
+    """Stationary state of the driven, damped system at the config's detuning.
+
+    The one-point case of the stacked solve; the normalized residual is
+    verified below 1e-10.
+    """
+    state = DensityMatrix(_steady_states(config, np.array([config.delta_r_hz]))[0])
     state.check()
     return state
 
@@ -339,15 +328,24 @@ def absorption_proxy(config: ExperimentConfig, state: DensityMatrix) -> float:
 def transmission_spectrum(
     config: ExperimentConfig, delta_r_grid_hz: "list[float] | np.ndarray"
 ) -> list[SpectrumPoint]:
-    """Signal transmission exp(-OD_eff * absorption) over a Raman-detuning grid."""
+    """Signal transmission exp(-OD_eff * absorption) over a Raman-detuning grid.
+
+    All steady states of the grid come from one stacked solve.
+    """
     grid = np.asarray(delta_r_grid_hz, dtype=float)
-    if grid.size == 0:
-        raise ValueError("detuning grid is empty")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"detuning grid must be a non-empty 1-D array, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("detuning grid has a non-finite value")
+    if np.any(np.diff(grid) <= 0.0):
         raise ValueError("detuning grid must be strictly increasing")
+    # the config checks depend on delta_r only through the Nyquist margin,
+    # which grows with |delta_r|: checking the widest point checks them all
+    replace(config, delta_r_hz=float(grid[np.argmax(np.abs(grid))]))
     points = []
-    for delta in grid:
-        state = steady_state(replace(config, delta_r_hz=float(delta)))
+    for delta, rho in zip(grid, _steady_states(config, grid)):
+        state = DensityMatrix(rho)
+        state.check()
         a = absorption_proxy(config, state)
         transmission = min(float(np.exp(-config.od_eff * a)), 1.0)
         points.append(SpectrumPoint(float(delta), transmission, a))

@@ -80,6 +80,8 @@ class StudyDefaults:
             grid = getattr(self, name)
             if len(grid) == 0:
                 raise ConfigurationError(f"{name} is empty")
+            if not np.all(np.isfinite(grid)):
+                raise ConfigurationError(f"{name} has a non-finite value")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigurationError(f"{name} must be strictly increasing")
 

@@ -156,17 +156,6 @@ class MagneticEnvironment:
         return 2.0 * self.g_f * self.mu_b_over_h_hz_per_gauss * self.b0_gauss
 
 
-def two_photon_detuning(
-    omega_s_rad: float, omega_c_rad: float, magnetic: MagneticEnvironment
-) -> float:
-    """Two-photon (Raman) detuning delta_R in Hz.
-
-    delta_R = (omega_S - omega_C)/2pi - zeeman_splitting; positive when the
-    signal field sits blue of the Raman resonance.
-    """
-    return (omega_s_rad - omega_c_rad) / TWO_PI - magnetic.zeeman_splitting()
-
-
 @dataclass(frozen=True)
 class ShiftCoupling:
     """One off-resonant coupling contributing to the differential light shift.

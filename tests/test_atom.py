@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lightstore import atom
 from lightstore.atom import (
     DegenerateSteadyStateError,
     DensityMatrix,
@@ -31,6 +32,32 @@ from lightstore.model import (
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-12
 POS_TOL = 1e-9
+
+
+def _kron_generator(config, delta_r_hz):
+    """Reference Lindblad generator of one point, assembled term by term."""
+    scheme = config.level_scheme
+    h = build_hamiltonian(
+        scheme, config.control, config.signal, delta_r_hz, config.include_second_excited
+    )
+    n = h.shape[0]
+    eye = np.eye(n)
+    ops = []
+    for e, e_label in [(2, scheme.excited_label), (3, scheme.second_excited_label)][: n - 2]:
+        w = np.array([
+            scheme.weight(scheme.ground_minus_label, e_label, "sigma_plus"),
+            scheme.weight(scheme.ground_plus_label, e_label, "sigma_minus"),
+        ]) ** 2
+        for g in (0, 1):
+            op = np.zeros((n, n))
+            op[g, e] = math.sqrt(scheme.gamma_e_rad * w[g] / w.sum())
+            ops.append(op)
+    ops.append(np.diag([1.0, -1.0] + [0.0] * (n - 2)) * math.sqrt(scheme.gamma_gg_rad / 2.0))
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in ops:
+        opdop = op.T @ op
+        gen += np.kron(op, op) - 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
+    return gen
 
 
 def _with_rabis(config, omega_c, omega_s):
@@ -207,6 +234,65 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(replace(config, level_scheme=scheme))
 
+    @pytest.mark.parametrize("variant", ["default", "four_level", "no_ground_dephasing"])
+    def test_stacked_solve_matches_svd_null_vector(self, config, variant):
+        # independent oracle: at every point of the default grid, the
+        # unit-trace null vector from the full SVD of that point's generator
+        if variant == "four_level":
+            config = replace(config, include_second_excited=True)
+        elif variant == "no_ground_dephasing":
+            config = replace(config, level_scheme=replace(config.level_scheme, gamma_gg_rad=0.0))
+        grid = np.linspace(-60e3, 60e3, 241)
+        states = atom._steady_states(config, grid)
+        n = states.shape[1]
+        for delta, rho in zip(grid, states):
+            svals, vh = np.linalg.svd(_kron_generator(config, delta))[1:]
+            assert svals[-2] > 1e-10 * svals[0]
+            null = vh[-1].conj().reshape(n, n)
+            assert np.max(np.abs(rho - null / np.trace(null))) < 1e-10
+
+    def test_generator_built_once_per_spectrum(self, config, monkeypatch):
+        calls = []
+        original = atom._generator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(atom, "_generator", counting)
+        transmission_spectrum(config, np.linspace(-60e3, 60e3, 9))
+        small = len(calls)
+        calls.clear()
+        transmission_spectrum(config, np.linspace(-60e3, 60e3, 241))
+        assert len(calls) == small == 1
+
+    def test_degenerate_point_is_named(self, config):
+        # control off, no ground dephasing and no decay into g_plus leave
+        # g_plus decoupled: two zero modes at every detuning
+        weights = tuple(
+            (key, 0.0 if key == ("g_plus", "e", "sigma_minus") else w)
+            for key, w in config.level_scheme.clebsch_weights
+        )
+        scheme = replace(config.level_scheme, gamma_gg_rad=0.0, clebsch_weights=weights)
+        dark = replace(
+            config, level_scheme=scheme,
+            control=replace(config.control, intensity=0.0, rabi_frequency_rad=0.0),
+        )
+        with pytest.raises(DegenerateSteadyStateError, match=r"delta_r -1000\.0 Hz .* 2 zero"):
+            transmission_spectrum(dark, [-1e3, 0.0, 1e3])
+
+    def test_residual_error_names_point(self, config, monkeypatch):
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[1] += 1e-6
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(DegenerateSteadyStateError, match=r"residual .* delta_r 0\.0 Hz"):
+            transmission_spectrum(config, [-1e3, 0.0, 1e3])
+
     def test_4_level_flag(self, config):
         state = steady_state(replace(config, include_second_excited=True))
         assert state.matrix.shape == (4, 4)
@@ -255,6 +341,11 @@ class TestTransmissionSpectrum:
             transmission_spectrum(config, [])
         with pytest.raises(ValueError):
             transmission_spectrum(config, [1.0, -1.0])
+        for bad in ([0.0, math.nan, 5.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                transmission_spectrum(config, bad)
+        with pytest.raises(ValueError, match="1-D"):
+            transmission_spectrum(config, [[0.0, 1.0]])
 
     def test_csv_round_trip(self, config, tmp_path):
         points = transmission_spectrum(config, np.linspace(-5e3, 5e3, 5))

@@ -83,6 +83,16 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_non_finite_grid_exits_1_before_writing(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[study]\ndark_resonance_grid_hz = 0, nan, 5\n")
+    out = tmp_path / "o"
+    code = main(["dark-resonance", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert "dark_resonance_grid_hz has a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("delta_r_hz = 5\n")  # no section header

@@ -104,6 +104,17 @@ def test_bad_grid_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", [
+    "delta_r_grid_hz", "dark_resonance_grid_hz", "control_intensity_grid", "signal_intensity_grid",
+])
+@pytest.mark.parametrize("values", ["0, nan, 5", "0, 5, inf"])
+def test_non_finite_grid_rejected(tmp_path, key, values):
+    path = tmp_path / "grid.cfg"
+    path.write_text(f"[study]\n{key} = {values}\n")
+    with pytest.raises(ConfigurationError, match=f"{key} has a non-finite value"):
+        load_config(path)
+
+
 def test_bad_coupling_line_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[light_shift]\ncouplings =\n    1e9 2.0 extra\n")
