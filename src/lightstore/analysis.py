@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import ndtr, stdtrit
 
 from .storage import PhotodiodeTrace
@@ -33,6 +32,7 @@ __all__ = [
     "SpectroscopyPoint",
     "SpectroscopyResult",
     "fit_beat",
+    "fit_beats",
     "linear_fit",
     "intersection",
     "slope_significance",
@@ -44,6 +44,10 @@ __all__ = [
 SEED_OVERSAMPLE = 8
 MIN_WINDOW_SAMPLES = 16
 RECOMMENDED_PERIODS = 10.0
+# A beat fit has converged when its next step is below XTOL of its nonlinear
+# parameters, or would lower its residual sum of squares by less than FTOL of it.
+XTOL = 1e-10
+FTOL = 1e-14
 
 
 class FitError(RuntimeError):
@@ -105,202 +109,229 @@ class BeatFitResult:
             raise ValueError("converged fit must report a positive beat frequency")
 
 
-def _tone_estimate(t: np.ndarray, v: np.ndarray, f_hz: float) -> tuple[float, float]:
-    """Amplitude and phase of the component A sin(2 pi f t + phi) at fixed f."""
-    z = np.sum(v * np.exp(-2j * np.pi * f_hz * t)) * 2.0 / v.size
-    return abs(z), float(np.angle(z) + 0.5 * np.pi)
-
-
-def _periodogram_peak(v: np.ndarray, fs: float) -> tuple[float, float, float]:
-    """Seed frequency, amplitude and noise floor sigma from an oversampled FFT.
+def _periodogram_peak(v: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seed frequency, amplitude and noise floor sigma of each row, from oversampled FFTs.
 
     The noise floor comes from the Hann-windowed spectrum with the tone
     neighborhood masked out, so strong off-bin tones cannot leak into it;
     the median of the remaining (exponentially distributed) bin powers is
     ln 2 times the mean power sigma^2 sum(w^2).
     """
-    n = v.size
-    padded = np.fft.rfft(v, n=SEED_OVERSAMPLE * n)
+    k, n = v.shape
+    padded = np.abs(np.fft.rfft(v, n=SEED_OVERSAMPLE * n, axis=-1))
     freqs = np.fft.rfftfreq(SEED_OVERSAMPLE * n, d=1.0 / fs)
     # skip the DC leakage region (anything below ~1.5 cycles per window)
     k_min = int(1.5 * SEED_OVERSAMPLE)
-    if k_min >= padded.size - 1:
-        k_min = 1
-    k_peak = k_min + int(np.argmax(np.abs(padded[k_min:])))
-    amplitude = 2.0 * abs(padded[k_peak]) / n
+    k_peak = k_min + np.argmax(padded[:, k_min:], axis=-1)
+    amplitude = 2.0 * padded[np.arange(k), k_peak] / n
     hann = np.hanning(n)
-    base = np.abs(np.fft.rfft(v * hann)) ** 2
-    k_base = int(round(k_peak / SEED_OVERSAMPLE))
-    mask = np.ones(base.size, dtype=bool)
-    mask[:2] = False
-    mask[max(0, k_base - 4):k_base + 5] = False
-    if np.any(mask):
-        mean_power = float(np.median(base[mask])) / math.log(2.0)
-        noise_sigma = math.sqrt(mean_power / float(np.sum(hann**2)))
-    else:
-        noise_sigma = 0.0
-    return float(freqs[k_peak]), float(amplitude), noise_sigma
+    base = np.abs(np.fft.rfft(v * hann, axis=-1)) ** 2
+    noise_sigma = np.zeros(k)
+    for row, k_base in enumerate(np.rint(k_peak / SEED_OVERSAMPLE).astype(int)):
+        mask = np.ones(base.shape[-1], dtype=bool)
+        mask[:2] = False
+        mask[max(0, k_base - 4):k_base + 5] = False
+        if np.any(mask):
+            mean_power = float(np.median(base[row, mask])) / math.log(2.0)
+            noise_sigma[row] = math.sqrt(mean_power / float(np.sum(hann**2)))
+    return freqs[k_peak], amplitude, noise_sigma
 
 
-def _beat_model(p: np.ndarray, t: np.ndarray, with_envelope: bool) -> np.ndarray:
-    c0, c1, a, f, phi = p[:5]
-    damp = np.exp(-p[5] * t) if with_envelope else 1.0
-    return c0 + c1 * t + a * damp * np.sin(2.0 * np.pi * f * t + phi)
+def _project(theta: np.ndarray, tau: np.ndarray, v: np.ndarray, with_envelope: bool):
+    """Variable projection of c0 + c1 tau + e^(-g tau) (a_s sin 2 pi u tau + a_c cos 2 pi u tau).
+
+    theta rows are (u[, g]) and tau is time, in units of the window length.  Returns each
+    row's (c0, c1, a_s, a_c), residual sum of squares, and the Gauss-Newton matrix and
+    gradient of the projected residual with Kaufman's Jacobian.
+    """
+    k, n = v.shape
+    basis = np.empty((k, 4, n))
+    basis[:, 0] = 1.0
+    basis[:, 1] = tau
+    sin, cos = basis[:, 2], basis[:, 3]
+    phase = (2.0 * np.pi * theta[:, :1]) * tau
+    np.sin(phase, out=sin)
+    np.cos(phase, out=cos)
+    if with_envelope:
+        basis[:, 2:] *= np.exp(-theta[:, 1:] * tau)[:, None]
+    gram = basis @ basis.transpose(0, 2, 1)
+    coef = np.linalg.solve(gram, basis @ v[..., None])
+    resid = v - (coef.transpose(0, 2, 1) @ basis)[:, 0]
+    a_s, a_c = coef[:, 2], coef[:, 3]
+    deriv = np.empty((k, theta.shape[1], n))
+    deriv[:, 0] = 2.0 * np.pi * tau * (a_s * cos - a_c * sin)
+    if with_envelope:
+        deriv[:, 1] = -tau * (a_s * sin + a_c * cos)
+    proj = deriv - np.linalg.solve(gram, basis @ deriv.transpose(0, 2, 1)).transpose(0, 2, 1) @ basis
+    return (coef[..., 0], np.sum(resid * resid, axis=-1), proj @ proj.transpose(0, 2, 1),
+            (proj @ resid[..., None])[..., 0])
+
+
+def _levenberg_marquardt(theta, tau, v, with_envelope, max_nfev):
+    """Minimize each row's projected residual with its own damping, acceptance and stopping
+    test (XTOL, FTOL); returns theta, coefficients, cost, evaluations and converged per row."""
+    coef, cost, hess, grad = _project(theta, tau, v, with_envelope)
+    k, p = theta.shape
+    nfev, damping = np.ones(k, dtype=int), np.full(k, 1e-3)
+    converged, running = np.zeros(k, dtype=bool), np.ones(k, dtype=bool)
+    while np.any(running):
+        live = np.flatnonzero(running)
+        step = np.linalg.solve(hess[live] * (1.0 + damping[live, None, None] * np.eye(p)),
+                               grad[live, :, None])[..., 0]
+        gain = np.sum(step * grad[live], axis=-1)
+        done = (np.all(np.abs(step) <= XTOL * (1.0 + np.abs(theta[live])), axis=-1)
+                | (gain <= FTOL * cost[live]))
+        stop = done | ~np.all(np.isfinite(step), axis=-1) | (nfev[live] >= max_nfev)
+        converged[live[done]] = True
+        running[live[stop]] = False
+        go, step = live[~stop], step[~stop]
+        if not go.size:
+            break
+        trial = theta[go] + step
+        t_coef, t_cost, t_hess, t_grad = _project(trial, tau, v[go], with_envelope)
+        nfev[go] += 1
+        better = t_cost < cost[go]
+        accept = go[better]
+        theta[accept], coef[accept], cost[accept] = trial[better], t_coef[better], t_cost[better]
+        hess[accept], grad[accept] = t_hess[better], t_grad[better]
+        damping[go] *= np.where(better, 0.1, 10.0)
+    return theta, coef, cost, nfev, converged
 
 
 def _beat_jacobian(p: np.ndarray, t: np.ndarray, with_envelope: bool) -> np.ndarray:
-    a, f, phi = p[2], p[3], p[4]
-    damp = np.exp(-p[5] * t) if with_envelope else np.ones_like(t)
+    """Rows of d model / d (c0, c1, a, f, phi[, rate]) at each row's parameters p."""
+    a, f, phi = p[:, 2:3], p[:, 3:4], p[:, 4:5]
+    damp = np.exp(-p[:, 5:6] * t) if with_envelope else 1.0
     arg = 2.0 * np.pi * f * t + phi
     sin_a, cos_a = np.sin(arg), np.cos(arg)
-    cols = [
-        np.ones_like(t),
-        t,
-        damp * sin_a,
-        a * damp * cos_a * 2.0 * np.pi * t,
-        a * damp * cos_a,
-    ]
+    cols = [1.0, t, damp * sin_a, a * damp * cos_a * 2.0 * np.pi * t, a * damp * cos_a]
     if with_envelope:
         cols.append(-t * a * damp * sin_a)
-    return np.column_stack(cols)
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
-def fit_beat(
-    trace: PhotodiodeTrace,
-    window: tuple[float, float],
-    f_guess: float | None = None,
-    with_envelope: bool = True,
-    max_nfev: int = 2000,
-) -> BeatFitResult:
-    """Fit V(t) = c0 + c1 t + A exp(-(t-t_a)/tau) sin(2 pi f (t-t_a) + phi).
+def _fit_stack(t, v, fs, span, with_envelope, f_guess, max_nfev) -> "list[BeatFitResult | FitError]":
+    """Fit the rows of v, all sampled at times t (from the window start)."""
+    k, n = v.shape
+    tc = t - t.mean()
+    slope = np.sum(v * tc, axis=-1) / np.sum(tc * tc)
+    detrended = v - v.mean(axis=-1, keepdims=True) - slope[:, None] * tc
+    f_seed, amp_seed, noise_sigma = _periodogram_peak(detrended, fs)
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    low = (amp_seed < 3.0 * noise_sigma) | (amp_seed < 1e-12 * scale)
+    if f_guess is not None:
+        f_seed = np.full(k, float(f_guess))
+    for periods in f_seed[~low] * span:
+        if periods < RECOMMENDED_PERIODS:
+            warnings.warn(f"window contains only {periods:.1f} beat periods; recommend >= 10",
+                          stacklevel=3)
 
-    Parameters
-    ----------
-    trace : PhotodiodeTrace
-        Detector record to analyze.
-    window : (t_a, t_b)
-        Fit window in absolute trace time; must lie inside the trace and
-        should contain at least ten beat periods (warns below that).
-    f_guess : float, optional
-        Seed frequency in Hz; when absent the dominant peak of an
-        oversampled periodogram seeds the fit.
-    with_envelope : bool
-        Fit the exponential envelope (retrieved epochs); disable for
-        constant-amplitude windows (input epochs).
+    rows = np.flatnonzero(~low)
+    unit = n / fs
+    theta = np.zeros((rows.size, 2 if with_envelope else 1))  # decay rate seed 0
+    theta[:, 0] = f_seed[rows] * unit
+    theta, coef, cost, nfev, ok = _levenberg_marquardt(theta, t / unit, v[rows], with_envelope,
+                                                       max_nfev)
+    # (c0, c1, a, f, phi[, rate]) in trace units, from a sin(x + phi) = a_s sin x + a_c cos x
+    p = np.column_stack([coef[:, 0], coef[:, 1] / unit, np.hypot(coef[:, 2], coef[:, 3]),
+                         theta[:, 0] / unit, np.arctan2(coef[:, 3], coef[:, 2]), theta[:, 1:] / unit])
+    jac = _beat_jacobian(p, t, with_envelope)
+    jtj = jac.transpose(0, 2, 1) @ jac
+    dof = max(1, n - p.shape[1])
 
-    Returns
-    -------
-    BeatFitResult
-        Parameter estimates with standard errors from the local quadratic
-        model at the optimum.
+    results: list = [LowSnrError(f"modulation amplitude {amp:.3e} below 3x noise floor {noise:.3e}")
+                     if is_low else None for amp, noise, is_low in zip(amp_seed, noise_sigma, low)]
+    for j, row in enumerate(rows):
+        ssr = float(cost[j])
+        try:
+            cov = np.linalg.inv(jtj[j]) * (ssr / dof)
+        except np.linalg.LinAlgError:
+            cov = np.linalg.pinv(jtj[j]) * (ssr / dof)
+        perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        c0, c1, amp, f, phase = (float(x) for x in p[j, :5])
+        if f < 0.0:
+            f, phase = -f, math.pi - phase
+        phase = math.remainder(phase, 2.0 * math.pi)
+        rate, rate_err = (float(p[j, 5]), float(perr[5])) if with_envelope else (0.0, 0.0)
+        tau = 1.0 / rate if rate != 0.0 else math.inf
+        tau_err = (rate_err / rate**2 if rate != 0.0 else math.inf) if with_envelope else 0.0
+        converged = bool(ok[j]) and f > 0.0
+        fit = BeatFitResult(
+            f_b_hz=f if converged else max(abs(f), 1e-300),
+            f_b_err_hz=float(perr[3]),
+            amplitude=amp,
+            amplitude_err=float(perr[2]),
+            phase_rad=phase,
+            phase_err_rad=float(perr[4]),
+            envelope_decay_time_s=tau,
+            envelope_decay_time_err_s=abs(tau_err),
+            dc_offset=c0,
+            dc_offset_err=float(perr[0]),
+            dc_slope=c1,
+            dc_slope_err=float(perr[1]),
+            rms_residual=math.sqrt(ssr / n),
+            converged=converged,
+            n_iterations=int(nfev[j]),
+        )
+        results[row] = fit if converged else FitConvergenceError(
+            f"beat fit did not converge after {nfev[j]} evaluations", best=fit)
+    return results
 
-    Raises
-    ------
-    LowSnrError
-        If the modulation amplitude is below three times the noise floor.
-    FitConvergenceError
-        If the optimizer stalls; the exception carries the best iterate.
+
+def fit_beats(traces: "list[PhotodiodeTrace]", window: tuple[float, float], with_envelope: bool = True,
+              f_guess: float | None = None, max_nfev: int = 2000) -> "list[BeatFitResult | FitError]":
+    """Fit V(t) = c0 + c1 t + A exp(-(t-t_a)/tau) sin(2 pi f (t-t_a) + phi) to each trace.
+
+    window (t_a, t_b) is in absolute trace time, must lie inside each trace
+    and should hold at least ten beat periods (warns below that).
+    with_envelope fits the exponential envelope (retrieved epochs); without
+    it the amplitude is constant (input epochs).  f_guess, in Hz inside
+    (0, fs/2) or a ValueError, replaces the oversampled-periodogram seed;
+    max_nfev bounds the residual evaluations of each fit.
+
+    The model is linear in (c0, c1, A cos phi, A sin phi), so variable
+    projection leaves Levenberg-Marquardt only f and the decay rate.
+    Windows on the same sample times are fitted as one (k, n) stack whose
+    rows keep their own damping and stopping test and whose linear algebra
+    is row by row: each row is bit-identical to fitting its trace alone.
+
+    Returns, per trace, its BeatFitResult (standard errors from the local
+    quadratic model at the optimum) or the FitError that stopped it:
+    LowSnrError below three times the noise floor, FitConvergenceError
+    carrying the best iterate, FitError for a window outside the trace.
     """
     t_a, t_b = window
-    if t_a < trace.t0_s - 0.5 / trace.sample_rate_hz or t_b > trace.t0_s + trace.duration_s + 0.5 / trace.sample_rate_hz:
-        raise FitError(f"window [{t_a}, {t_b}] extends outside the trace")
-    if not t_b > t_a:
-        raise FitError("window must have positive length")
-    i_a, i_b = trace.index_range(t_a, t_b)
-    if i_b - i_a < MIN_WINDOW_SAMPLES:
-        raise FitError(f"window holds {i_b - i_a} samples; need >= {MIN_WINDOW_SAMPLES}")
-    t = (np.arange(i_a, i_b) / trace.sample_rate_hz) + trace.t0_s - t_a
-    v = np.asarray(trace.samples[i_a:i_b], dtype=float)
-
-    c1_seed, c0_seed = np.polyfit(t, v, 1)
-    detrended = v - (c0_seed + c1_seed * t)
-    f_seed, amp_seed, noise_sigma = _periodogram_peak(detrended, trace.sample_rate_hz)
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if amp_seed < 3.0 * noise_sigma or amp_seed < 1e-12 * scale:
-        raise LowSnrError(
-            f"modulation amplitude {amp_seed:.3e} below 3x noise floor {noise_sigma:.3e}"
-        )
-    if f_guess is not None:
-        f_seed = float(f_guess)
-    amp_seed, phi_seed = _tone_estimate(t, detrended, f_seed)
-    periods = f_seed * (t_b - t_a)
-    if periods < RECOMMENDED_PERIODS:
-        warnings.warn(
-            f"window contains only {periods:.1f} beat periods; recommend >= 10",
-            stacklevel=2,
-        )
-
-    p0 = [c0_seed, c1_seed, amp_seed, f_seed, phi_seed]
-    if with_envelope:
-        # decay-rate seed from the amplitude ratio of the two window halves
-        half = t.size // 2
-        a1, _ = _tone_estimate(t[:half], detrended[:half], f_seed)
-        a2, _ = _tone_estimate(t[half:], detrended[half:], f_seed)
-        dt_halves = float(t[half:].mean() - t[:half].mean())
-        if a1 > 0.0 and a2 > 0.0 and dt_halves > 0.0:
-            p0.append(max(0.0, math.log(a1 / a2) / dt_halves))
+    results: list = [None] * len(traces)
+    stacks: dict[tuple, list[int]] = {}
+    for row, trace in enumerate(traces):
+        fs = trace.sample_rate_hz
+        if f_guess is not None and not (math.isfinite(f_guess) and 0.0 < f_guess < 0.5 * fs):
+            raise ValueError(f"f_guess {f_guess!r} Hz is not a frequency in (0, {0.5 * fs!r}) Hz, "
+                             "the band below the Nyquist frequency")
+        i_a, i_b = trace.index_range(t_a, t_b)
+        if t_a < trace.t0_s - 0.5 / fs or t_b > trace.t0_s + trace.duration_s + 0.5 / fs:
+            results[row] = FitError(f"window [{t_a}, {t_b}] extends outside the trace")
+        elif not t_b > t_a:
+            results[row] = FitError("window must have positive length")
+        elif i_b - i_a < MIN_WINDOW_SAMPLES:
+            results[row] = FitError(f"window holds {i_b - i_a} samples; need >= {MIN_WINDOW_SAMPLES}")
         else:
-            p0.append(0.0)
+            stacks.setdefault((fs, trace.t0_s, i_a, i_b), []).append(row)
+    for (fs, t0, i_a, i_b), rows in stacks.items():
+        t = (np.arange(i_a, i_b) / fs) + t0 - t_a
+        v = np.array([traces[row].samples[i_a:i_b] for row in rows])
+        for row, fit in zip(rows, _fit_stack(t, v, fs, t_b - t_a, with_envelope, f_guess, max_nfev)):
+            results[row] = fit
+    return results
 
-    result = least_squares(
-        lambda p: _beat_model(np.asarray(p), t, with_envelope) - v,
-        np.asarray(p0, dtype=float),
-        jac=lambda p: _beat_jacobian(np.asarray(p), t, with_envelope),
-        method="lm",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=max_nfev,
-    )
 
-    p = result.x
-    n, n_par = v.size, p.size
-    ssr = 2.0 * float(result.cost)
-    dof = max(1, n - n_par)
-    jtj = result.jac.T @ result.jac
-    try:
-        cov = np.linalg.inv(jtj) * (ssr / dof)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj) * (ssr / dof)
-    perr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-
-    c0, c1, a, f, phi = p[:5]
-    a_err, f_err, phi_err = perr[2], perr[3], perr[4]
-    if a < 0.0:
-        a, phi = -a, phi + math.pi
-    if f < 0.0:
-        f, phi = -f, math.pi - phi
-    phi = math.remainder(phi, 2.0 * math.pi)
-    if with_envelope:
-        rate, rate_err = p[5], perr[5]
-        tau = 1.0 / rate if rate != 0.0 else math.inf
-        tau_err = rate_err / rate**2 if rate != 0.0 else math.inf
-    else:
-        tau, tau_err = math.inf, 0.0
-
-    converged = bool(result.success) and f > 0.0
-    fit = BeatFitResult(
-        f_b_hz=float(f) if converged else max(abs(float(f)), 1e-300),
-        f_b_err_hz=float(f_err),
-        amplitude=float(a),
-        amplitude_err=float(a_err),
-        phase_rad=float(phi),
-        phase_err_rad=float(phi_err),
-        envelope_decay_time_s=float(tau),
-        envelope_decay_time_err_s=abs(float(tau_err)),
-        dc_offset=float(c0),
-        dc_offset_err=float(perr[0]),
-        dc_slope=float(c1),
-        dc_slope_err=float(perr[1]),
-        rms_residual=math.sqrt(ssr / n),
-        converged=converged,
-        n_iterations=int(result.nfev),
-    )
-    if not converged:
-        raise FitConvergenceError(
-            f"beat fit did not converge after {result.nfev} evaluations: {result.message}",
-            best=fit,
-        )
+def fit_beat(trace: PhotodiodeTrace, window: tuple[float, float], f_guess: float | None = None,
+             with_envelope: bool = True, max_nfev: int = 2000) -> BeatFitResult:
+    """The one-trace case of fit_beats; raises the FitError it would return."""
+    [fit] = fit_beats([trace], window, with_envelope=with_envelope, f_guess=f_guess,
+                      max_nfev=max_nfev)
+    if isinstance(fit, FitError):
+        raise fit
     return fit
 
 

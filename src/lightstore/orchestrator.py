@@ -6,8 +6,9 @@ signal-intensity sweep) plus stand-alone fitting of trace files.  Every run
 writes the same layout: a plan.cfg snapshot that reloads to the exact
 configuration, per-point traces and fit tables, a summary.csv, a result.csv
 of scalar outcomes, two-column plotdata files and a run.json of metadata.
-The task that measures a detuning point, in the parent or in a pool worker,
-writes that point's directory; the parent writes the run-level files.
+The task that measures a chunk of detuning points, in the parent or in a
+pool worker, writes those points' directories; the parent writes the
+run-level files.
 Identical seeds yield byte-identical files, apart from run.json's timing,
 whether points are evaluated serially or in a process pool.
 """
@@ -34,6 +35,7 @@ from .analysis import (
     SpectroscopyPoint,
     SpectroscopyResult,
     fit_beat,
+    fit_beats,
     linear_fit,
     slope_significance,
     write_fits_csv,
@@ -205,74 +207,95 @@ def _weighted_mean(fits: "list[BeatFitResult]") -> tuple[float, float]:
     return mean, float(1.0 / math.sqrt(np.sum(w)))
 
 
-def _analyze_point(
-    index: int,
-    x: float,
-    traces: "list[PhotodiodeTrace]",
-    w_in: tuple[float, float],
-    w_ret: tuple[float, float],
-    average_mode: str,
-) -> PointRecord:
-    """Fit one detuning point's traces; fresh runs and re-analysis both call this.
+def _fit_windows(traces, window, with_envelope) -> "list[BeatFitResult | FitError]":
+    """One window of every trace, stacked by fit_beats; the same bits as fit_beat per window.
+
+    A lone window (a pool task's average-traces point) goes through
+    fit_beat, the one-window call that perfbench's tracer counts.
+    """
+    if len(traces) != 1:
+        return fit_beats(traces, window, with_envelope=with_envelope)
+    try:
+        return [fit_beat(traces[0], window, with_envelope=with_envelope)]
+    except FitError as exc:
+        return [exc]
+
+
+def _analyze_points(points: "list[tuple[int, float, list[PhotodiodeTrace]]]", w_in: tuple[float, float],
+                    w_ret: tuple[float, float], average_mode: str) -> list[PointRecord]:
+    """Fit the traces of (index, x, traces) detuning points; fresh runs and re-analysis call this.
 
     The traces are the ones a run persists: with average-traces the one
     mean trace, whose fits are the point's values; with fit-then-average
     one trace per repetition, whose frequencies are combined by weighted
-    mean.  A FitError excludes the point.
+    mean.  All input windows are fitted in one stacked call and all
+    retrieved windows in another; a FitError excludes only its own point.
     """
-    try:
-        pairs = [(fit_beat(tr, w_in, with_envelope=False), fit_beat(tr, w_ret, with_envelope=True))
-                 for tr in traces]
-    except FitError as exc:
-        return PointRecord(index=index, x=x, error=f"{type(exc).__name__}: {exc}")
-    if average_mode == AVERAGE_TRACES:
-        [(fit_in, fit_ret)] = pairs
-        fits = (("input", fit_in), ("retrieved", fit_ret))
-        values = (fit_in.f_b_hz, fit_in.f_b_err_hz, fit_ret.f_b_hz, fit_ret.f_b_err_hz)
-    else:
-        fits = tuple((f"{name}_rep{rep}", fit) for rep, pair in enumerate(pairs)
-                     for name, fit in zip(("input", "retrieved"), pair))
-        values = (*_weighted_mean([fi for fi, _ in pairs]),
-                  *_weighted_mean([fr for _, fr in pairs]))
-    return PointRecord(index=index, x=x, values=dict(zip(POINT_KEYS, values)), fits=fits)
+    traces = [trace for _, _, point_traces in points for trace in point_traces]
+    fits_in = iter(_fit_windows(traces, w_in, with_envelope=False))
+    fits_ret = iter(_fit_windows(traces, w_ret, with_envelope=True))
+    records = []
+    for index, x, point_traces in points:
+        pairs = [(next(fits_in), next(fits_ret)) for _ in point_traces]
+        error = next((fit for pair in pairs for fit in pair if isinstance(fit, FitError)), None)
+        if error is not None:
+            records.append(PointRecord(index=index, x=x, error=f"{type(error).__name__}: {error}"))
+            continue
+        if average_mode == AVERAGE_TRACES:
+            [(fit_in, fit_ret)] = pairs
+            fits = (("input", fit_in), ("retrieved", fit_ret))
+            values = (fit_in.f_b_hz, fit_in.f_b_err_hz, fit_ret.f_b_hz, fit_ret.f_b_err_hz)
+        else:
+            fits = tuple((f"{name}_rep{rep}", fit) for rep, pair in enumerate(pairs)
+                         for name, fit in zip(("input", "retrieved"), pair))
+            values = (*_weighted_mean([fi for fi, _ in pairs]),
+                      *_weighted_mean([fr for _, fr in pairs]))
+        records.append(PointRecord(index=index, x=x, values=dict(zip(POINT_KEYS, values)),
+                                   fits=fits))
+    return records
 
 
-def _measure_point(task: tuple[StudyPlan, int]) -> PointRecord:
-    """Synthesize, analyze and persist one detuning point of a spectroscopy plan.
+def _measure_point(task: "tuple[StudyPlan, list[int]]") -> list[PointRecord]:
+    """Synthesize, analyze and persist a chunk of detuning points of a spectroscopy plan.
 
     Module-level so a process pool can pickle it.  With average-traces the
-    repetitions are averaged into one trace first.  When the plan has an
-    output directory, the task writes ``points/<index>/``: fits.csv for a
-    usable point and, if the plan persists traces, the traces it fitted,
-    excluded point or not.
+    repetitions are averaged into one trace first; the chunk's windows are
+    then fitted together.  When the plan has an output directory, the task
+    writes ``points/<index>/`` of each point: fits.csv for a usable point
+    and, if the plan persists traces, the traces it fitted, excluded point
+    or not.
     """
-    plan, index = task
-    delta_r = float(plan.grid[index])
-    traces = [
-        simulate_storage(
-            replace(plan.config, delta_r_hz=delta_r,
-                    rng_seed=point_seed(plan.seed_base, index, rep)),
-            plan.sequence,
-        )
-        for rep in range(plan.study.repetitions)
-    ]
-    if plan.study.average_mode == AVERAGE_TRACES:
-        traces = [replace(traces[0], samples=np.mean([tr.samples for tr in traces], axis=0))]
-    point = _analyze_point(index, delta_r, traces,
-                           *default_windows(plan.sequence, plan.study), plan.study.average_mode)
+    plan, indices = task
+    points = []
+    for index in indices:
+        delta_r = float(plan.grid[index])
+        traces = [
+            simulate_storage(
+                replace(plan.config, delta_r_hz=delta_r,
+                        rng_seed=point_seed(plan.seed_base, index, rep)),
+                plan.sequence,
+            )
+            for rep in range(plan.study.repetitions)
+        ]
+        if plan.study.average_mode == AVERAGE_TRACES:
+            traces = [replace(traces[0], samples=np.mean([tr.samples for tr in traces], axis=0))]
+        points.append((index, delta_r, traces))
+    records = _analyze_points(points, *default_windows(plan.sequence, plan.study),
+                              plan.study.average_mode)
     if plan.out_dir is not None:
-        point_dir = plan.out_dir / "points" / str(index)
-        point_dir.mkdir(parents=True, exist_ok=True)
-        if point.fits:
-            write_fits_csv(list(point.fits), point_dir / "fits.csv")
-        if plan.persist_traces:
-            for k, trace in enumerate(traces):
-                write_trace_csv(trace, point_dir / ("trace.csv" if len(traces) == 1
-                                                    else f"trace_rep{k}.csv"))
-    return point
+        for (index, _, traces), point in zip(points, records):
+            point_dir = plan.out_dir / "points" / str(index)
+            point_dir.mkdir(parents=True, exist_ok=True)
+            if point.fits:
+                write_fits_csv(list(point.fits), point_dir / "fits.csv")
+            if plan.persist_traces:
+                for k, trace in enumerate(traces):
+                    write_trace_csv(trace, point_dir / ("trace.csv" if len(traces) == 1
+                                                        else f"trace_rep{k}.csv"))
+    return records
 
 
-def _map_points(plan: StudyPlan, tasks: list[tuple[StudyPlan, int]]) -> list[PointRecord]:
+def _map_points(plan: StudyPlan, tasks: "list[tuple[StudyPlan, list[int]]]") -> list[list[PointRecord]]:
     if plan.jobs > 1:
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
             return list(pool.map(_measure_point, tasks))
@@ -395,8 +418,8 @@ def _finish_run(
 # -- studies -----------------------------------------------------------------
 
 
-def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str, list[tuple[StudyPlan, int]]]:
-    """Check the grid, start the run and build one pool task per detuning."""
+def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str]:
+    """Check the grid and start the run."""
     grid = plan.study.delta_r_grid_hz
     window_est = _eit_window_estimate_hz(plan.config)
     if max(abs(d) for d in grid) > window_est:
@@ -405,8 +428,7 @@ def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str, list[
             f"({window_est:.0f} Hz)",
             stacklevel=3,
         )
-    plan, t0, started = _start_run(plan)
-    return plan, t0, started, [(plan, i) for i in range(len(grid))]
+    return _start_run(plan)
 
 
 def _finish_spectroscopy(
@@ -448,12 +470,17 @@ def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
     """Synthesize and fit one trace pair per Raman detuning, then intersect.
 
     Per-point fit failures exclude the point and are reported in the
-    summary; fewer than three surviving points aborts the study.
+    summary; fewer than three surviving points aborts the study.  At
+    jobs=1 the grid is one task, so all its windows of a kind are fitted
+    in one stack; a pool takes one point per task.
     """
     if plan.kind != "spectroscopy":
         raise ConfigurationError(f"plan kind {plan.kind!r} is not spectroscopy")
-    plan, t0, started, tasks = _prepare_spectroscopy(plan)
-    return _finish_spectroscopy(plan, t0, started, tuple(_map_points(plan, tasks)))
+    plan, t0, started = _prepare_spectroscopy(plan)
+    indices = list(range(len(plan.grid)))
+    chunks = _map_points(plan, [(plan, indices)] if plan.jobs == 1
+                         else [(plan, [i]) for i in indices])
+    return _finish_spectroscopy(plan, t0, started, tuple(p for chunk in chunks for p in chunk))
 
 
 def _run_shift_sweep(
@@ -461,8 +488,8 @@ def _run_shift_sweep(
 ) -> tuple[list[tuple[float, float, float]], dict[str, LineFit], RunRecord]:
     """Shared driver for the control/signal intensity sweeps.
 
-    Prepares a nested spectroscopy per grid intensity, measures the points
-    of all of them in one pool, then finishes each nested study in order
+    Prepares a nested spectroscopy per grid intensity, measures each of
+    them as one task of one pool, then finishes each nested study in order
     and regresses the extracted shift against intensity.  Returns the
     surviving (intensity, shift, sigma) triples, the line fits and the
     record, whose summary is ``summarize(triples, fits)``.
@@ -482,13 +509,12 @@ def _run_shift_sweep(
         ))
         for i, intensity in enumerate(plan.grid)
     ]
-    measured = iter(_map_points(plan, [task for *_, tasks in nested for task in tasks]))
+    measured = _map_points(plan, [(inner, list(range(len(inner.grid)))) for inner, *_ in nested])
     sweep_points: list[PointRecord] = []
-    for i, (inner, t_inner, started_inner, tasks) in enumerate(nested):
-        points = tuple(next(measured) for _ in tasks)
+    for i, ((inner, t_inner, started_inner), points) in enumerate(zip(nested, measured)):
         x = float(plan.grid[i])
         try:
-            result, _ = _finish_spectroscopy(inner, t_inner, started_inner, points)
+            result, _ = _finish_spectroscopy(inner, t_inner, started_inner, tuple(points))
             if math.isnan(result.delta_f_ac_hz):
                 raise OrchestrationError("intersection ill-conditioned")
             sweep_points.append(PointRecord(index=i, x=x, values=dict(zip(
@@ -673,9 +699,8 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
         raise ConfigurationError(
             f"run directory holds a {loaded.plan_kind!r} study, not spectroscopy"
         )
-    w_in, w_ret = default_windows(loaded.sequence, loaded.study)
-    return _spectroscopy_result(tuple(
-        _analyze_point(i, float(d), _read_point_traces(run_dir / "points" / str(i)),
-                       w_in, w_ret, loaded.study.average_mode)
-        for i, d in enumerate(loaded.study.delta_r_grid_hz)
-    ))
+    return _spectroscopy_result(tuple(_analyze_points(
+        [(i, float(d), _read_point_traces(run_dir / "points" / str(i)))
+         for i, d in enumerate(loaded.study.delta_r_grid_hz)],
+        *default_windows(loaded.sequence, loaded.study), loaded.study.average_mode,
+    )))

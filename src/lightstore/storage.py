@@ -11,9 +11,10 @@ the observables of interest are carried entirely by this phase bookkeeping.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +159,19 @@ def simulate_storage(config: ExperimentConfig, sequence: PulseSequence) -> Photo
     at the retrieved frequency with an exponential envelope whose initial
     amplitude is scaled by sqrt(storage_efficiency).  White Gaussian noise
     of width trace_noise_sigma is added throughout; identical seeds give
-    bit-identical traces.
+    bit-identical traces.  Repetitions of a detuning point share the cached
+    noise-free record, which depends on neither seed nor noise width.
     """
+    signal = _noise_free_record(replace(config, rng_seed=0, trace_noise_sigma=0.0), sequence)
+    if config.trace_noise_sigma > 0.0:
+        rng = np.random.default_rng(config.rng_seed)
+        signal = signal + rng.normal(0.0, config.trace_noise_sigma, signal.size)
+    return PhotodiodeTrace(t0_s=sequence.t_start, sample_rate_hz=config.sample_rate_hz, samples=signal)
+
+
+@functools.lru_cache(maxsize=16)
+def _noise_free_record(config: ExperimentConfig, sequence: PulseSequence) -> np.ndarray:
+    """The noise-free samples of one cycle; read-only, since the cache shares them."""
     fs = config.sample_rate_hz
     f_in = input_beat_frequency(config)
     theta_out = _readout_mixing_angle(config)
@@ -212,12 +224,8 @@ def simulate_storage(config: ExperimentConfig, sequence: PulseSequence) -> Photo
             envelope = np.exp(-(t - seg.t_start) / config.retrieval_decay_time_s)
             chunk += amp * envelope * np.sin(phase0 + TWO_PI * f_ret * (t - seg.t_start))
         signal[i_a:i_b] = chunk
-
-    if config.trace_noise_sigma > 0.0:
-        rng = np.random.default_rng(config.rng_seed)
-        signal = signal + rng.normal(0.0, config.trace_noise_sigma, n_total)
-
-    return PhotodiodeTrace(t0_s=t0, sample_rate_hz=fs, samples=signal)
+    signal.setflags(write=False)
+    return signal
 
 
 # -- trace file format -------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from lightstore.analysis import (
     SpectroscopyPoint,
     SpectroscopyResult,
     fit_beat,
+    fit_beats,
     intersection,
     linear_fit,
     slope_significance,
     write_fits_csv,
 )
-from lightstore.storage import PhotodiodeTrace
+from lightstore.orchestrator import default_windows, point_seed
+from lightstore.storage import PhotodiodeTrace, simulate_storage
 
 FS = 2.0e7
 
@@ -133,6 +136,12 @@ class TestFitBeat:
         with pytest.warns(UserWarning, match="periods"):
             fit_beat(trace, (0.0, trace.duration_s), with_envelope=False)
 
+    @pytest.mark.parametrize("f_guess", [math.nan, math.inf, -686e3, 0.0, 1e7, 1e9])
+    def test_f_guess_outside_the_band_below_nyquist_rejected(self, f_guess):
+        trace = synthetic_trace(685815.76, noise=0.05, seed=1)
+        with pytest.raises(ValueError, match="f_guess"):
+            fit_beat(trace, (0.0, trace.duration_s), f_guess=f_guess, with_envelope=False)
+
     def test_invariant_guard_on_errors(self):
         with pytest.raises(ValueError):
             BeatFitResult(
@@ -142,6 +151,65 @@ class TestFitBeat:
                 dc_slope=0.0, dc_slope_err=0.0, rms_residual=0.0,
                 converged=True, n_iterations=1,
             )
+
+
+def _default_traces(loaded, n=9):
+    """n default-config traces across the detuning grid, each with its own noise."""
+    grid = loaded.study.delta_r_grid_hz
+    return [
+        simulate_storage(replace(loaded.config, delta_r_hz=float(grid[i % len(grid)]),
+                                 rng_seed=point_seed(3, i)), loaded.sequence)
+        for i in range(n)
+    ]
+
+
+class TestFitBeats:
+    @pytest.mark.parametrize("with_envelope", [False, True])
+    def test_each_row_equals_its_one_row_fit(self, loaded, with_envelope):
+        traces = _default_traces(loaded)
+        window = default_windows(loaded.sequence, loaded.study)[int(with_envelope)]
+        stacked = fit_beats(traces, window, with_envelope=with_envelope)
+        alone = [fit_beat(tr, window, with_envelope=with_envelope) for tr in traces]
+        assert all(isinstance(fit, BeatFitResult) for fit in stacked)
+        assert stacked == alone  # every field, n_iterations included, bit for bit
+
+    def test_failing_rows_fail_alone_and_leave_the_others_unchanged(self):
+        traces = [synthetic_trace(685815.76 + 500.0 * k, noise=0.05, seed=k) for k in range(7)]
+        traces.insert(3, synthetic_trace(685815.76, noise=1.5, seed=3))  # below the noise floor
+        # a decaying tone fitted without envelope needs far more evaluations
+        traces.insert(6, synthetic_trace(685815.76, tau_s=10e-6, noise=0.05, seed=1))
+        window, max_nfev = (0.0, traces[0].duration_s), 10
+        stacked = fit_beats(traces, window, with_envelope=False, max_nfev=max_nfev)
+        for k, (trace, fit) in enumerate(zip(traces, stacked)):
+            try:
+                alone = fit_beat(trace, window, with_envelope=False, max_nfev=max_nfev)
+            except FitError as exc:
+                alone = exc
+            if k == 3:
+                assert isinstance(fit, LowSnrError) and isinstance(alone, LowSnrError)
+            elif k == 6:
+                assert isinstance(fit, FitConvergenceError)
+                assert isinstance(alone, FitConvergenceError)
+                assert fit.best == alone.best and fit.best.n_iterations == max_nfev
+            else:
+                assert fit == alone
+
+    def test_windows_on_other_sample_times_fit_apart(self):
+        base = synthetic_trace(685815.76, noise=0.05, seed=4)
+        offset = PhotodiodeTrace(t0_s=0.3 / FS, sample_rate_hz=FS, samples=base.samples[::-1])
+        slower = synthetic_trace(685815.76, noise=0.05, seed=5)
+        slower = PhotodiodeTrace(t0_s=0.0, sample_rate_hz=FS / 2, samples=slower.samples[::2])
+        traces = [base, offset, slower, synthetic_trace(690e3, noise=0.05, seed=6)]
+        window = (1e-6, 45e-6)
+        assert fit_beats(traces, window, with_envelope=False) == [
+            fit_beat(tr, window, with_envelope=False) for tr in traces]
+
+    def test_window_errors_are_per_row(self):
+        long = synthetic_trace(685815.76, noise=0.05, seed=1)
+        short = synthetic_trace(685815.76, noise=0.05, seed=2, duration_s=20e-6)
+        fits = fit_beats([long, short], (0.0, long.duration_s), with_envelope=False)
+        assert fits[0] == fit_beat(long, (0.0, long.duration_s), with_envelope=False)
+        assert isinstance(fits[1], FitError) and "outside" in str(fits[1])
 
 
 class TestLinearFit:

@@ -142,6 +142,18 @@ def test_fit_subcommand(tmp_path, capsys):
     assert "f_b" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("f_guess", ["nan", "inf", "1e9"])
+def test_fit_rejects_a_seed_outside_the_band_below_nyquist(tmp_path, capsys, f_guess):
+    fs = 2.0e7
+    t = np.arange(1200) / fs
+    path = tmp_path / "tone.csv"
+    write_trace_csv(PhotodiodeTrace(0.0, fs, 1.0 + 2.5 * np.sin(2 * np.pi * 685.8e3 * t)), path)
+    out = tmp_path / "fitout"
+    assert main(["fit", str(path), "--out", str(out), "--f-guess", f_guess]) == 1
+    assert "f_guess" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_traces_flag(tmp_path, small_config):
     out = tmp_path / "run"
     code = main(["spectroscopy", "--config", str(small_config),
@@ -188,7 +200,7 @@ def test_cold_start_leaves_scipy_stats_unimported():
         "from lightstore.configfile import default_config\n"
         "from lightstore.orchestrator import StudyPlan, run_spectroscopy\n"
         "run_spectroscopy(StudyPlan.from_loaded(default_config(), 'spectroscopy', seed_base=1))\n"
-        "print([m for m in ('stats', 'integrate') if 'scipy.' + m in sys.modules])\n"
+        "print([m for m in ('stats', 'integrate', 'optimize') if 'scipy.' + m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lightstore.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

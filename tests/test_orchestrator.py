@@ -208,6 +208,19 @@ class TestRunSpectroscopy:
         for name in ("summary.csv", "result.csv"):
             assert (out_s / name).read_bytes() == (out_p / name).read_bytes()
 
+    def test_each_repetition_is_simulate_storage_at_its_seed(self, loaded, tmp_path):
+        study = replace(loaded.study, repetitions=3, average_mode=FIT_THEN_AVERAGE,
+                        delta_r_grid_hz=(-5e3, 0.0, 5e3))
+        out = tmp_path / "run"
+        run_spectroscopy(StudyPlan.from_loaded(replace(loaded, study=study), "spectroscopy",
+                                               seed_base=4, out_dir=out))
+        for i, delta_r in enumerate(study.delta_r_grid_hz):
+            for rep in range(3):
+                cfg = replace(loaded.config, delta_r_hz=delta_r, rng_seed=point_seed(4, i, rep))
+                write_trace_csv(simulate_storage(cfg, loaded.sequence), tmp_path / "direct.csv")
+                persisted = out / "points" / str(i) / f"trace_rep{rep}.csv"
+                assert persisted.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
     def test_fit_then_average_agrees_with_averaging(self, loaded):
         study = replace(loaded.study, average_mode=FIT_THEN_AVERAGE)
         varied = LoadedExperiment(config=loaded.config, sequence=loaded.sequence, study=study)

@@ -170,6 +170,14 @@ class TestSimulateStorage:
         c = simulate_storage(replace(loaded.config, rng_seed=999), loaded.sequence)
         assert not np.array_equal(a.samples, c.samples)
 
+    def test_noise_adds_to_the_shared_noise_free_record(self, loaded):
+        cfg = loaded.config
+        quiet = simulate_storage(replace(cfg, trace_noise_sigma=0.0), loaded.sequence)
+        for seed in (cfg.rng_seed, 999):
+            noisy = simulate_storage(replace(cfg, rng_seed=seed), loaded.sequence)
+            noise = np.random.default_rng(seed).normal(0.0, cfg.trace_noise_sigma, quiet.n_samples)
+            assert np.array_equal(noisy.samples, quiet.samples + noise)
+
     def test_signal_intensity_leaves_retrieved_frequency_alone(self, noiseless):
         from lightstore.analysis import fit_beat
 
