@@ -2,7 +2,7 @@
 
 Builds the rotating-frame Hamiltonian, evolves the Lindblad master equation
 through a pulse sequence, solves for steady states, and derives the
-dark-resonance transmission spectrum and the differential light shift.
+dark-resonance transmission spectrum.
 
 Basis ordering is [g_minus, g_plus, e] with an optional fourth level e2.
 Dissipation channels: population decay from each excited level to both
@@ -25,22 +25,17 @@ from .model import (
     ExperimentConfig,
     LevelScheme,
     FieldConfig,
-    LightShiftModel,
     PulseSequence,
-    ShiftCoupling,
 )
 
 __all__ = [
     "DensityMatrix",
     "SpectrumPoint",
-    "LightShiftModel",
-    "ShiftCoupling",
     "DegenerateSteadyStateError",
     "build_hamiltonian",
     "evolve",
     "steady_state",
     "transmission_spectrum",
-    "ac_stark_shift",
     "spectrum_fwhm",
     "write_spectrum_csv",
 ]
@@ -126,10 +121,11 @@ def build_hamiltonian(
     """Rotating-frame Hamiltonian (rad/s) of the driven system.
 
     Diagonal entries encode the one- and two-photon detunings; off-diagonal
-    entries are -Omega/2 on each leg of a drive that is on.  The fields'
-    stored Rabi frequencies carry the primary-leg amplitude; the second-level
-    legs are rescaled by the amplitude ratio.  With both drives off the
-    matrix is diagonal.
+    entries are -Omega/2 on each leg of a drive that is on.  The fields' Rabi
+    frequencies, which their ExperimentConfig derives, carry the primary-leg
+    amplitude; the second-level legs are rescaled by the amplitude ratio, so
+    a field without primary-leg amplitude couples nowhere.  With both drives
+    off the matrix is diagonal.
     """
     if include_second_excited and scheme.second_excited_label is None:
         raise ConfigurationError("scheme has no second excited level")
@@ -140,20 +136,15 @@ def build_hamiltonian(
     h[2, 2] = -delta_s
     if include_second_excited:
         h[3, 3] = -delta_s + TWO_PI * scheme.second_excited_offset_hz
-    for name, field, on, g, g_label in (
-        ("signal", signal, signal_on, 0, scheme.ground_minus_label),
-        ("control", control, control_on, 1, scheme.ground_plus_label),
+    for field, on, g, g_label in (
+        (signal, signal_on, 0, scheme.ground_minus_label),
+        (control, control_on, 1, scheme.ground_plus_label),
     ):
         if not on:
             continue
-        cg = scheme.weight(g_label, scheme.excited_label, field.polarization)
-        if field.rabi_frequency_rad > 0.0 and cg == 0.0:
-            raise ConfigurationError(
-                f"{name} field ({field.polarization}) does not address the "
-                f"{g_label}-{scheme.excited_label} leg"
-            )
         h[g, 2] = h[2, g] = -0.5 * field.rabi_frequency_rad
         if include_second_excited:
+            cg = scheme.weight(g_label, scheme.excited_label, field.polarization)
             cg2 = scheme.weight(g_label, scheme.second_excited_label, field.polarization)
             omega2 = field.rabi_frequency_rad * (cg2 / cg) if cg else 0.0
             h[g, 3] = h[3, g] = -0.5 * omega2
@@ -350,11 +341,6 @@ def transmission_spectrum(
         transmission = min(float(np.exp(-config.od_eff * a)), 1.0)
         points.append(SpectrumPoint(float(delta), transmission, a))
     return points
-
-
-def ac_stark_shift(intensity_c: float, model: LightShiftModel) -> float:
-    """Differential light shift (Hz) of the ground splitting at the given drive."""
-    return model.slope_per_intensity_hz * intensity_c
 
 
 def spectrum_fwhm(points: list[SpectrumPoint]) -> float:

@@ -31,8 +31,6 @@ from .model import (
     ShiftCoupling,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    make_field,
-    rabi_from_intensity,
 )
 
 AVERAGE_TRACES = "average-traces"
@@ -103,22 +101,17 @@ def _as_floats(values) -> tuple[float, ...]:
 
 def default_shift_weight(kappa_rad2: float, linewidth_rad: float) -> float:
     """Effective cg^2 making the reference drive produce the calibrated shift."""
-    d = DEFAULT_SHIFT_DETUNING_RAD
+    unit = LightShiftModel((ShiftCoupling(DEFAULT_SHIFT_DETUNING_RAD, 1.0),), linewidth_rad)
     slope_target = DEFAULT_SHIFT_AT_REFERENCE_HZ / DEFAULT_CONTROL_INTENSITY
-    per_weight = kappa_rad2 * d / (4.0 * d**2 + linewidth_rad**2) / TWO_PI
-    return slope_target / per_weight
+    return slope_target / unit.slope_per_intensity_hz(kappa_rad2)
 
 
 def default_config() -> LoadedExperiment:
     """Calibrated default experiment (see module docstring for the anchors)."""
     scheme = LevelScheme()
     kappa = DEFAULT_KAPPA_RAD2
-    control = make_field(
-        "control", DEFAULT_CONTROL_INTENSITY, 1.0, kappa, SIGMA_MINUS, power_w=300e-6
-    )
-    signal = make_field(
-        "signal", DEFAULT_SIGNAL_INTENSITY, 1.0, kappa, SIGMA_PLUS, power_w=100e-6
-    )
+    control = FieldConfig("control", DEFAULT_CONTROL_INTENSITY, SIGMA_MINUS, power_w=300e-6)
+    signal = FieldConfig("signal", DEFAULT_SIGNAL_INTENSITY, SIGMA_PLUS, power_w=100e-6)
     shift = LightShiftModel(
         couplings=(
             ShiftCoupling(
@@ -127,7 +120,6 @@ def default_config() -> LoadedExperiment:
             ),
         ),
         linewidth_rad=scheme.gamma_e_rad,
-        kappa_rad2=kappa,
     )
     config = ExperimentConfig(
         level_scheme=scheme,
@@ -243,7 +235,7 @@ _FORMAT = {
         "b0_gauss": float, "g_f": float, "mu_b_over_h_hz_per_gauss": float,
     }),
     "experiment": ("config", {
-        "delta_r_hz": float, "sample_rate_hz": float, "trace_noise_sigma": float,
+        "delta_r_hz": float, "sample_rate_hz": float, "trace_noise_sigma": _non_negative,
         "control_leak_fraction": float, "storage_efficiency": float,
         "retrieval_decay_time_s": float, "rng_seed": int, "kappa_rad2": _non_negative,
         "od_eff": float, "coupling_gn_rad": float, "include_second_excited": _parse_bool,
@@ -271,15 +263,6 @@ def _make_parser() -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     return parser
-
-
-def _field(base: FieldConfig, values: dict, scheme: LevelScheme, ground: str,
-           kappa: float) -> FieldConfig:
-    """``base`` with the file's values and the Rabi frequency they imply."""
-    intensity = values.get("intensity", base.intensity)
-    polarization = values.get("polarization", base.polarization)
-    cg = scheme.weight(ground, scheme.excited_label, polarization)
-    return replace(base, **values, rabi_frequency_rad=rabi_from_intensity(intensity, cg, kappa))
 
 
 def load_config(path: "str | Path") -> LoadedExperiment:
@@ -314,14 +297,11 @@ def load_config(path: "str | Path") -> LoadedExperiment:
     cfg = base.config
     scheme = replace(cfg.level_scheme, **values["level_scheme"],
                      clebsch_weights=tuple(values["clebsch_weights"].items()))
-    kappa = values["config"].get("kappa_rad2", cfg.kappa_rad2)
     config = replace(
         cfg,
         level_scheme=scheme,
-        control=_field(cfg.control, values["control"], scheme, scheme.ground_plus_label, kappa),
-        signal=_field(cfg.signal, values["signal"], scheme, scheme.ground_minus_label, kappa),
-        magnetic=replace(cfg.magnetic, **values["magnetic"]),
-        light_shift=replace(cfg.light_shift, **values["light_shift"], kappa_rad2=kappa),
+        **{name: replace(getattr(cfg, name), **values[name])
+           for name in ("control", "signal", "magnetic", "light_shift")},
         **values["config"],
     )
     return LoadedExperiment(

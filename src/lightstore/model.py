@@ -9,9 +9,10 @@ saturation intensity.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,31 +109,30 @@ class LevelScheme:
 class FieldConfig:
     """One optical field: drive strength, detuning, polarization, geometry.
 
-    ``rabi_frequency_rad`` is the coupling on the field's primary leg,
-    normally derived from ``intensity`` through ``rabi_from_intensity``.
+    ``rabi_frequency_rad`` is the coupling on the field's primary leg.  It is
+    not an argument: the ExperimentConfig holding the field derives it from
+    ``intensity``, and a field outside a config reads NaN.
     ``readout_intensity`` (control field only) lets the retrieval drive
     differ from the preparation drive; None means "same as intensity".
     """
 
     role: str
     intensity: float
-    rabi_frequency_rad: float
     polarization: str
     power_w: float = 0.0
     one_photon_detuning_rad: float = 0.0
     angle_alpha_rad: float = 0.0
     readout_intensity: float | None = None
+    rabi_frequency_rad: float = field(default=math.nan, init=False)
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_CONTROL, ROLE_SIGNAL):
             raise ConfigurationError(f"unknown field role {self.role!r}")
         if self.polarization not in POLARIZATIONS:
             raise ConfigurationError(f"unknown polarization {self.polarization!r}")
-        if self.intensity < 0.0:
+        if not self.intensity >= 0.0:
             raise ConfigurationError("intensity must be >= 0")
-        if self.rabi_frequency_rad < 0.0:
-            raise ConfigurationError("rabi_frequency must be >= 0")
-        if self.readout_intensity is not None and self.readout_intensity < 0.0:
+        if self.readout_intensity is not None and not self.readout_intensity >= 0.0:
             raise ConfigurationError("readout_intensity must be >= 0")
         expected = SIGMA_MINUS if self.role == ROLE_CONTROL else SIGMA_PLUS
         if self.polarization != expected:
@@ -174,26 +174,25 @@ class LightShiftModel:
     """Differential ac Stark shift of the ground splitting, linear in intensity.
 
     The shift per unit normalized intensity is
-    sum_i cg_sq_i * kappa * Delta_i / (4 Delta_i^2 + Gamma^2) / 2pi  (Hz).
-    The default instance is calibrated against the observed shift rather than
-    derived ab initio; see ``configfile.default_config``.
+    sum_i cg_sq_i * kappa * Delta_i / (4 Delta_i^2 + Gamma^2) / 2pi  (Hz),
+    with kappa the config's ``kappa_rad2``.  The default instance is
+    calibrated against the observed shift rather than derived ab initio; see
+    ``configfile.default_config``.
     """
 
     couplings: tuple[ShiftCoupling, ...]
     linewidth_rad: float
-    kappa_rad2: float
 
     def __post_init__(self) -> None:
-        if self.linewidth_rad < 0.0 or self.kappa_rad2 < 0.0:
-            raise ConfigurationError("linewidth and kappa must be >= 0")
+        if not self.linewidth_rad >= 0.0:
+            raise ConfigurationError("linewidth_rad must be >= 0")
 
-    @property
-    def slope_per_intensity_hz(self) -> float:
-        """Shift (Hz) per unit I/I_sat."""
+    def slope_per_intensity_hz(self, kappa_rad2: float) -> float:
+        """Shift (Hz) per unit I/I_sat under the intensity calibration kappa_rad2."""
         g2 = self.linewidth_rad**2
         total = 0.0
         for c in self.couplings:
-            total += c.cg_sq * self.kappa_rad2 * c.detuning_rad / (4.0 * c.detuning_rad**2 + g2)
+            total += c.cg_sq * kappa_rad2 * c.detuning_rad / (4.0 * c.detuning_rad**2 + g2)
         return total / TWO_PI
 
 
@@ -295,6 +294,9 @@ class ExperimentConfig:
     environment, the Raman detuning and every detector/storage knob needed
     to synthesize a photodiode trace.  Immutable; derive variants with
     ``dataclasses.replace`` (see helpers below for intensity changes).
+    ``kappa_rad2`` is the one calibration that turns intensities into
+    couplings: each field's Rabi frequency and the light shift derive from it
+    here and are stored nowhere else.
     """
 
     level_scheme: LevelScheme
@@ -319,16 +321,28 @@ class ExperimentConfig:
             raise ConfigurationError("control_leak_fraction must be in [0, 1]")
         if not 0.0 <= self.storage_efficiency <= 1.0:
             raise ConfigurationError("storage_efficiency must be in [0, 1]")
-        if self.retrieval_decay_time_s <= 0.0:
-            raise ConfigurationError("retrieval_decay_time must be > 0")
-        if self.kappa_rad2 < 0.0 or self.od_eff < 0.0 or self.coupling_gn_rad < 0.0:
-            raise ConfigurationError("kappa, od_eff and coupling_gn must be >= 0")
+        if not self.retrieval_decay_time_s > 0.0:
+            raise ConfigurationError(
+                f"retrieval_decay_time_s must be > 0, got {self.retrieval_decay_time_s!r}"
+            )
+        for name in ("trace_noise_sigma", "kappa_rad2", "od_eff", "coupling_gn_rad"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         nyquist_demand = 4.0 * (self.magnetic.zeeman_splitting() + abs(self.delta_r_hz))
         if not self.sample_rate_hz > nyquist_demand:
             raise ConfigurationError(
                 f"sample_rate {self.sample_rate_hz} Hz violates the Nyquist margin; "
                 f"need > {nyquist_demand} Hz"
             )
+        # Fields are shared between configs, so a field whose coupling
+        # differs is swapped for a copy rather than changed in place.
+        for name, cg in (("control", self.control_cg()), ("signal", self.signal_cg())):
+            f = getattr(self, name)
+            rabi = rabi_from_intensity(f.intensity, cg, self.kappa_rad2)
+            if not f.rabi_frequency_rad == rabi:
+                f = copy.copy(f)
+                object.__setattr__(f, "rabi_frequency_rad", rabi)
+                object.__setattr__(self, name, f)
 
     # -- derived couplings ------------------------------------------------
 
@@ -348,33 +362,14 @@ class ExperimentConfig:
         """Control Rabi frequency during the retrieval phase."""
         return rabi_from_intensity(self.readout_intensity(), self.control_cg(), self.kappa_rad2)
 
-
-def make_field(
-    role: str,
-    intensity: float,
-    cg: float,
-    kappa: float,
-    polarization: str,
-    **kwargs,
-) -> FieldConfig:
-    """FieldConfig with the Rabi frequency derived from intensity."""
-    return FieldConfig(
-        role=role,
-        intensity=intensity,
-        rabi_frequency_rad=rabi_from_intensity(intensity, cg, kappa),
-        polarization=polarization,
-        **kwargs,
-    )
+    def light_shift_hz(self, intensity: float) -> float:
+        """Differential light shift (Hz) of the ground splitting at a control intensity."""
+        return self.light_shift.slope_per_intensity_hz(self.kappa_rad2) * intensity
 
 
 def with_signal_intensity(config: ExperimentConfig, intensity: float) -> ExperimentConfig:
-    """Copy of config with a new input signal intensity (Rabi rederived)."""
-    signal = replace(
-        config.signal,
-        intensity=intensity,
-        rabi_frequency_rad=rabi_from_intensity(intensity, config.signal_cg(), config.kappa_rad2),
-    )
-    return replace(config, signal=signal)
+    """Copy of config with a new input signal intensity."""
+    return replace(config, signal=replace(config.signal, intensity=intensity))
 
 
 def with_readout_intensity(config: ExperimentConfig, intensity: float) -> ExperimentConfig:

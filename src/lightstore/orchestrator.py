@@ -584,7 +584,7 @@ def run_control_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]]
              fit.intercept / fit.intercept_err if fit.intercept_err > 0.0 else math.nan),
             ("r_squared", _weighted_r_squared(fit, xs, ys, sigmas)),
             ("chi2_per_dof", fit.chi2_per_dof),
-            ("model_slope_hz_per_intensity", plan.config.light_shift.slope_per_intensity_hz),
+            ("model_slope_hz_per_intensity", plan.config.light_shift_hz(1.0)),
         )
 
     triples, fits, record = _run_shift_sweep(plan, "control", summarize)

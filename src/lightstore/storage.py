@@ -19,12 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .atom import ac_stark_shift
 from .model import (
     TWO_PI,
     ConfigurationError,
     ExperimentConfig,
-    LightShiftModel,
     MagneticEnvironment,
     PulseSequence,
     PHASE_INPUT,
@@ -75,21 +73,20 @@ def frequency_pulling(delta_r_hz: float, alpha_rad: float, theta_rad: float) -> 
 
 def retrieved_beat_frequency(
     magnetic: MagneticEnvironment,
-    readout_intensity: float,
-    shift_model: LightShiftModel,
+    light_shift_hz: float,
     alpha_rad: float,
     theta_rad: float,
     delta_r_hz: float,
 ) -> float:
     """Beat frequency of the retrieved signal against the readout control (Hz).
 
-    Locks to the atomic splitting plus the light shift of the retrieval
-    drive; the input detuning enters only through the geometric pulling term
-    and drops out entirely for collinear beams.
+    Locks to the atomic splitting plus ``light_shift_hz``, the light shift of
+    the retrieval drive; the input detuning enters only through the geometric
+    pulling term and drops out entirely for collinear beams.
     """
     return (
         magnetic.zeeman_splitting()
-        + ac_stark_shift(readout_intensity, shift_model)
+        + light_shift_hz
         + frequency_pulling(delta_r_hz, alpha_rad, theta_rad)
     )
 
@@ -177,8 +174,7 @@ def _noise_free_record(config: ExperimentConfig, sequence: PulseSequence) -> np.
     theta_out = _readout_mixing_angle(config)
     f_ret = retrieved_beat_frequency(
         config.magnetic,
-        config.readout_intensity(),
-        config.light_shift,
+        config.light_shift_hz(config.readout_intensity()),
         config.signal.angle_alpha_rad,
         theta_out,
         config.delta_r_hz,

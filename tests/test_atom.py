@@ -10,7 +10,6 @@ from lightstore.atom import (
     DegenerateSteadyStateError,
     DensityMatrix,
     SpectrumPoint,
-    ac_stark_shift,
     build_hamiltonian,
     evolve,
     optical_coherence_rate,
@@ -60,17 +59,18 @@ def _kron_generator(config, delta_r_hz):
     return gen
 
 
-def _with_rabis(config, omega_c, omega_s):
+def _with_intensities(config, i_c, i_s, **changes):
     return replace(
         config,
-        control=replace(config.control, rabi_frequency_rad=omega_c),
-        signal=replace(config.signal, rabi_frequency_rad=omega_s),
+        control=replace(config.control, intensity=i_c),
+        signal=replace(config.signal, intensity=i_s),
+        **changes,
     )
 
 
 class TestHamiltonian:
     def test_diagonal_when_dark(self, config):
-        cfg = _with_rabis(config, 0.0, 0.0)
+        cfg = _with_intensities(config, 0.0, 0.0)
         h = build_hamiltonian(cfg.level_scheme, cfg.control, cfg.signal, 1234.0)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) == 0.0
@@ -88,10 +88,11 @@ class TestHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
     def test_matches_independent_matrix(self, config):
-        # hand-built matrix for Omega_C = 2pi 1 MHz, Omega_S = 2pi 0.1 MHz,
-        # delta_R = 5 kHz, one-photon resonance
-        om_c, om_s = TWO_PI * 1e6, TWO_PI * 0.1e6
-        cfg = _with_rabis(config, om_c, om_s)
+        # hand-built matrix for Omega = sqrt(kappa I) on unit-amplitude legs:
+        # kappa = 1e12, I_C = 4 and I_S = 1/16 give Omega_C = 2e6 rad/s and
+        # Omega_S = 2.5e5 rad/s exactly; delta_R = 5 kHz, one-photon resonance
+        om_c, om_s = 2.0e6, 2.5e5
+        cfg = _with_intensities(config, 4.0, 0.0625, kappa_rad2=1.0e12)
         h = build_hamiltonian(cfg.level_scheme, cfg.control, cfg.signal, 5e3)
         expected = np.array([
             [0.0, 0.0, -om_s / 2.0],
@@ -103,14 +104,19 @@ class TestHamiltonian:
             np.linalg.eigvalsh(h), np.linalg.eigvalsh(expected), rtol=1e-12, atol=1e-6
         )
 
-    def test_wrong_leg_assignment_rejected(self, config):
+    def test_field_on_a_leg_without_amplitude_does_not_couple(self, config):
         scheme = replace(
             config.level_scheme,
             clebsch_weights=((("g_minus", "e", "sigma_plus"), 1.0),),
         )
-        # control (sigma_minus on g_plus leg) now has zero amplitude
-        with pytest.raises(ConfigurationError, match="control"):
-            build_hamiltonian(scheme, config.control, config.signal, 0.0)
+        # control (sigma_minus on g_plus leg) now has zero amplitude, so the
+        # config derives no control coupling whatever its intensity
+        cfg = replace(config, level_scheme=scheme)
+        assert cfg.control.intensity > 0.0
+        assert cfg.control.rabi_frequency_rad == 0.0
+        h = build_hamiltonian(scheme, cfg.control, cfg.signal, 0.0)
+        assert h[1, 2] == h[2, 1] == 0.0
+        assert h[0, 2] == -0.5 * config.signal.rabi_frequency_rad
 
     def test_second_level_flag(self, config):
         h = build_hamiltonian(
@@ -276,7 +282,7 @@ class TestSteadyState:
         scheme = replace(config.level_scheme, gamma_gg_rad=0.0, clebsch_weights=weights)
         dark = replace(
             config, level_scheme=scheme,
-            control=replace(config.control, intensity=0.0, rabi_frequency_rad=0.0),
+            control=replace(config.control, intensity=0.0),
         )
         with pytest.raises(DegenerateSteadyStateError, match=r"delta_r -1000\.0 Hz .* 2 zero"):
             transmission_spectrum(dark, [-1e3, 0.0, 1e3])
@@ -309,9 +315,9 @@ class TestTransmissionSpectrum:
     def test_power_broadening_monotone(self, config):
         grid = np.linspace(-60e3, 60e3, 121)
         narrow = spectrum_fwhm(transmission_spectrum(config, grid))
-        doubled = _with_rabis(
-            config, 2.0 * config.control.rabi_frequency_rad, config.signal.rabi_frequency_rad
-        )
+        # four times the intensity doubles the control Rabi frequency
+        doubled = _with_intensities(config, 4.0 * config.control.intensity, config.signal.intensity)
+        assert doubled.control.rabi_frequency_rad == 2.0 * config.control.rabi_frequency_rad
         wide = spectrum_fwhm(transmission_spectrum(doubled, grid))
         assert wide > narrow
 
@@ -360,24 +366,24 @@ class TestTransmissionSpectrum:
 
 class TestAcStarkShift:
     def test_zero_intensity(self, config):
-        assert ac_stark_shift(0.0, config.light_shift) == 0.0
+        assert config.light_shift_hz(0.0) == 0.0
 
     def test_linearity(self, config):
-        one = ac_stark_shift(1.7, config.light_shift)
-        assert ac_stark_shift(3.4, config.light_shift) == pytest.approx(2.0 * one, rel=1e-12)
+        one = config.light_shift_hz(1.7)
+        assert config.light_shift_hz(3.4) == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_calibrated_default_shift(self, config):
-        shift = ac_stark_shift(config.control.intensity, config.light_shift)
+        shift = config.light_shift_hz(config.control.intensity)
         assert shift == pytest.approx(7000.0, abs=1e-6)
 
     def test_sign_flip(self, config):
-        flipped = replace(
+        flipped = replace(config, light_shift=replace(
             config.light_shift,
             couplings=tuple(replace(c, detuning_rad=-c.detuning_rad)
                             for c in config.light_shift.couplings),
-        )
-        assert ac_stark_shift(2.0, flipped) == pytest.approx(
-            -ac_stark_shift(2.0, config.light_shift), rel=1e-12
+        ))
+        assert flipped.light_shift_hz(2.0) == pytest.approx(
+            -config.light_shift_hz(2.0), rel=1e-12
         )
 
 

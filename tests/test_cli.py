@@ -93,6 +93,23 @@ def test_non_finite_grid_exits_1_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trace_noise_sigma", "-0.05"), ("trace_noise_sigma", "nan"),
+    ("retrieval_decay_time_s", "nan"), ("retrieval_decay_time_s", "0"),
+    ("kappa_rad2", "nan"), ("od_eff", "nan"), ("coupling_gn_rad", "nan"),
+])
+def test_out_of_range_experiment_value_exits_1_naming_its_key(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[experiment]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    code = main(["spectroscopy", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert key in err
+    assert not out.exists()
+
+
 def test_malformed_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("delta_r_hz = 5\n")  # no section header

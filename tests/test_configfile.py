@@ -147,16 +147,12 @@ def test_write_default_config(tmp_path):
 def test_default_calibration_anchors():
     import math
 
-    from lightstore.atom import ac_stark_shift
-
     cfg = default_config().config
     # reference drive maps to the 2pi x 375 kHz coupling behind the ~20 kHz window
     assert cfg.control.intensity == 10.5
     assert cfg.control.rabi_frequency_rad == pytest.approx(2 * math.pi * 375e3, rel=1e-12)
     # and the shift model puts the same drive at +7 kHz
-    assert ac_stark_shift(cfg.control.intensity, cfg.light_shift) == pytest.approx(
-        7000.0, abs=1e-6
-    )
+    assert cfg.light_shift_hz(cfg.control.intensity) == pytest.approx(7000.0, abs=1e-6)
 
 
 def test_clebsch_weight_override(tmp_path):
@@ -212,6 +208,7 @@ def test_unparsable_value_names_its_section_and_key(tmp_path, section, key):
 @pytest.mark.parametrize("section,key", [
     ("control", "intensity"), ("signal", "intensity"),
     ("experiment", "kappa_rad2"), ("control", "readout_intensity"),
+    ("experiment", "trace_noise_sigma"),
 ])
 def test_negative_value_names_its_section_and_key(tmp_path, section, key):
     path = tmp_path / "bad.cfg"

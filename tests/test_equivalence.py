@@ -1,0 +1,67 @@
+"""Smoke test of the compare step of tools/equivalence.py, without git."""
+
+import importlib.util
+import math
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from lightstore.configfile import default_config
+from lightstore.orchestrator import StudyPlan, run_spectroscopy
+
+_spec = importlib.util.spec_from_file_location(
+    "equivalence", Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
+)
+equivalence = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = equivalence  # dataclasses look their module up here
+_spec.loader.exec_module(equivalence)
+
+
+@pytest.fixture()
+def two_runs(tmp_path):
+    loaded = default_config()
+    loaded = replace(loaded, study=replace(loaded.study, repetitions=2))
+    dirs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        run_spectroscopy(StudyPlan.from_loaded(
+            loaded, "spectroscopy", seed_base=equivalence.SEED_BASE, out_dir=out
+        ))
+        dirs.append(out)
+    return dirs
+
+
+def test_two_runs_of_one_tree_are_equal(two_runs):
+    a, b = two_runs
+    result = equivalence.compare_trees(a, b)
+    assert result.equal
+    assert result.identical == sorted(
+        p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()
+    )
+    assert "run.json" in result.identical  # its timing differs between the runs
+
+
+def test_a_changed_cell_and_a_missing_file_are_reported(two_runs):
+    a, b = two_runs
+    summary = b / "summary.csv"
+    lines = summary.read_text().splitlines(keepends=True)
+    cells = lines[1].rstrip("\r\n").split(",")
+    cells[1] = repr(float(cells[1]) * (1.0 + 1e-6))
+    lines[1] = ",".join(cells) + "\r\n"
+    summary.write_text("".join(lines))
+    (b / "points" / "0" / "trace.csv").unlink()
+    result = equivalence.compare_trees(a, b)
+    assert not result.equal
+    assert list(result.differing) == ["summary.csv"]
+    assert result.differing["summary.csv"] == pytest.approx(1e-6, rel=1e-3)
+    assert result.unmatched == ["points/0/trace.csv"]
+
+
+def test_cells_that_do_not_line_up_differ_infinitely():
+    diff = equivalence.max_relative_difference
+    assert diff("x,1.0\n", "x,1.0\n") == 0.0
+    assert diff("x,2.0\n", "x,1.0\n") == pytest.approx(0.5)
+    assert diff("x,1.0\n", "y,1.0\n") == math.inf
+    assert diff("x,1.0\n", "x,1.0,2.0\n") == math.inf

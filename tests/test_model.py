@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,18 +77,17 @@ class TestLevelScheme:
 class TestFieldConfig:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ConfigurationError):
-            FieldConfig(role="control", intensity=-1.0, rabi_frequency_rad=0.0,
-                        polarization="sigma_minus")
+            FieldConfig(role="control", intensity=-1.0, polarization="sigma_minus")
+        with pytest.raises(ConfigurationError):
+            FieldConfig(role="control", intensity=math.nan, polarization="sigma_minus")
 
     def test_unconventional_polarization_flagged(self):
         with pytest.warns(UserWarning, match="sigma"):
-            FieldConfig(role="control", intensity=1.0, rabi_frequency_rad=1.0,
-                        polarization="sigma_plus")
+            FieldConfig(role="control", intensity=1.0, polarization="sigma_plus")
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ConfigurationError):
-            FieldConfig(role="pump", intensity=1.0, rabi_frequency_rad=1.0,
-                        polarization="sigma_plus")
+            FieldConfig(role="pump", intensity=1.0, polarization="sigma_plus")
 
 
 class TestLightShiftModel:
@@ -96,15 +96,16 @@ class TestLightShiftModel:
         model = LightShiftModel(
             couplings=(ShiftCoupling(detuning_rad=2.0e9, cg_sq=3.0),),
             linewidth_rad=4.0e7,
-            kappa_rad2=5.0e11,
         )
         expected = 3.0 * 5.0e11 * 2.0e9 / (4.0 * (2.0e9) ** 2 + (4.0e7) ** 2) / TWO_PI
-        assert model.slope_per_intensity_hz == pytest.approx(expected, rel=1e-12)
+        assert model.slope_per_intensity_hz(5.0e11) == pytest.approx(expected, rel=1e-12)
 
     def test_sign_flips_with_detuning(self):
-        up = LightShiftModel((ShiftCoupling(2e9, 1.0),), 4e7, 5e11)
-        down = LightShiftModel((ShiftCoupling(-2e9, 1.0),), 4e7, 5e11)
-        assert down.slope_per_intensity_hz == pytest.approx(-up.slope_per_intensity_hz, rel=1e-12)
+        up = LightShiftModel((ShiftCoupling(2e9, 1.0),), 4e7)
+        down = LightShiftModel((ShiftCoupling(-2e9, 1.0),), 4e7)
+        assert down.slope_per_intensity_hz(5e11) == pytest.approx(
+            -up.slope_per_intensity_hz(5e11), rel=1e-12
+        )
 
 
 class TestPulseSequence:
@@ -137,14 +138,22 @@ class TestPulseSequence:
 
 class TestExperimentConfig:
     def test_nyquist_guard(self, config):
-        from dataclasses import replace
         with pytest.raises(ConfigurationError, match="Nyquist"):
             replace(config, sample_rate_hz=2.0e6)
 
     def test_leak_fraction_bounds(self, config):
-        from dataclasses import replace
         with pytest.raises(ConfigurationError):
             replace(config, control_leak_fraction=1.5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("trace_noise_sigma", -0.05), ("trace_noise_sigma", math.nan),
+        ("retrieval_decay_time_s", 0.0), ("retrieval_decay_time_s", math.nan),
+        ("kappa_rad2", -1.0), ("kappa_rad2", math.nan),
+        ("od_eff", math.nan), ("coupling_gn_rad", math.nan),
+    ])
+    def test_out_of_range_value_names_its_key(self, config, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            replace(config, **{key: value})
 
     def test_intensity_helpers_rederive_rabi(self, config):
         widened = with_signal_intensity(config, 4.0 * config.signal.intensity)
@@ -158,3 +167,50 @@ class TestExperimentConfig:
     def test_default_readout_follows_control(self, config):
         assert config.readout_intensity() == config.control.intensity
         assert config.readout_rabi_rad() == pytest.approx(config.control.rabi_frequency_rad)
+
+
+class TestDerivedCouplings:
+    """The config turns intensities into couplings with its own kappa_rad2."""
+
+    def test_kappa_scales_every_coupling_and_the_shift(self, config):
+        scaled = replace(config, kappa_rad2=4.0 * config.kappa_rad2)
+        assert scaled.control.rabi_frequency_rad == 2.0 * config.control.rabi_frequency_rad
+        assert scaled.signal.rabi_frequency_rad == 2.0 * config.signal.rabi_frequency_rad
+        assert scaled.readout_rabi_rad() == 2.0 * config.readout_rabi_rad()
+        intensity = config.control.intensity
+        assert scaled.light_shift_hz(intensity) == pytest.approx(
+            4.0 * config.light_shift_hz(intensity), rel=1e-12
+        )
+
+    def test_control_intensity_sets_the_control_coupling(self, config):
+        brighter = replace(
+            config, control=replace(config.control, intensity=4.0 * config.control.intensity)
+        )
+        assert brighter.control.rabi_frequency_rad == 2.0 * config.control.rabi_frequency_rad
+        assert brighter.signal.rabi_frequency_rad == config.signal.rabi_frequency_rad
+
+    @pytest.mark.parametrize("leg, field", [
+        (("g_plus", "e", "sigma_minus"), "control"),
+        (("g_minus", "e", "sigma_plus"), "signal"),
+    ])
+    def test_scheme_weight_sets_its_legs_coupling(self, config, leg, field):
+        weights = tuple((key, 0.5 * w if key == leg else w)
+                        for key, w in config.level_scheme.clebsch_weights)
+        halved = replace(config, level_scheme=replace(config.level_scheme, clebsch_weights=weights))
+        assert getattr(halved, field).rabi_frequency_rad == (
+            0.5 * getattr(config, field).rabi_frequency_rad
+        )
+
+    def test_derivation_leaves_shared_fields_alone(self, config):
+        control = config.control
+        scaled = replace(config, kappa_rad2=4.0 * config.kappa_rad2)
+        assert config.control is control
+        assert scaled.control is not control
+        assert replace(config, rng_seed=7).control is control
+
+    def test_rabi_frequency_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            FieldConfig(role="control", intensity=1.0, polarization="sigma_minus",
+                        **{"rabi_frequency_rad": 1.0})
+        field = FieldConfig(role="control", intensity=1.0, polarization="sigma_minus")
+        assert math.isnan(field.rabi_frequency_rad)

@@ -24,7 +24,7 @@ from lightstore.storage import simulate_storage, write_trace_csv
 def _no_shift(loaded):
     cfg = replace(
         loaded.config,
-        light_shift=LightShiftModel(couplings=(), linewidth_rad=1e7, kappa_rad2=1e11),
+        light_shift=LightShiftModel(couplings=(), linewidth_rad=1e7),
     )
     return replace(loaded, config=cfg)
 
@@ -233,7 +233,7 @@ class TestControlSweep:
     def test_noiseless_recovers_model_slope_exactly(self, noiseless):
         plan = StudyPlan.from_loaded(noiseless, "control_sweep", seed_base=3)
         _, fit, record = run_control_sweep(plan)
-        model = noiseless.config.light_shift.slope_per_intensity_hz
+        model = noiseless.config.light_shift_hz(1.0)
         assert abs(fit.slope - model) / model < 1e-6
         assert abs(fit.intercept) < 1e-3
 

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import lightstore
 from lightstore.model import (
     ConfigurationError,
     LightShiftModel,
@@ -67,25 +72,22 @@ class TestFrequencyPulling:
 
 class TestRetrievedBeatFrequency:
     def test_bare_splitting(self, config):
-        model = LightShiftModel(couplings=(), linewidth_rad=1e7, kappa_rad2=1e11)
-        f = retrieved_beat_frequency(config.magnetic, 0.0, model, 0.0, 0.3, 9e9)
+        f = retrieved_beat_frequency(config.magnetic, 0.0, 0.0, 0.3, 9e9)
         assert f == config.magnetic.zeeman_splitting()
 
     def test_calibrated_shift(self, config):
         f = retrieved_beat_frequency(
-            config.magnetic, config.control.intensity, config.light_shift, 0.0, 0.3, 5e3
+            config.magnetic, config.light_shift_hz(config.control.intensity), 0.0, 0.3, 5e3
         )
         assert f == pytest.approx(config.magnetic.zeeman_splitting() + 7000.0, abs=1e-6)
 
     def test_collinear_ignores_detuning(self, config):
-        args = (config.magnetic, 2.0, config.light_shift, 0.0, 0.4)
+        args = (config.magnetic, config.light_shift_hz(2.0), 0.0, 0.4)
         assert retrieved_beat_frequency(*args, 0.0) == retrieved_beat_frequency(*args, 15e3)
 
     def test_pulling_contribution(self, config):
-        base = retrieved_beat_frequency(config.magnetic, 0.0,
-                                        config.light_shift, 0.0, 0.0, 10e3)
-        pulled = retrieved_beat_frequency(config.magnetic, 0.0,
-                                          config.light_shift, 0.01, math.pi / 4, 10e3)
+        base = retrieved_beat_frequency(config.magnetic, 0.0, 0.0, 0.0, 10e3)
+        pulled = retrieved_beat_frequency(config.magnetic, 0.0, 0.01, math.pi / 4, 10e3)
         assert pulled - base == pytest.approx(0.25, abs=1e-4)
 
 
@@ -151,7 +153,7 @@ class TestSimulateStorage:
         cfg = replace(
             noiseless.config,
             delta_r_hz=0.0,
-            light_shift=LightShiftModel(couplings=(), linewidth_rad=1e7, kappa_rad2=1e11),
+            light_shift=LightShiftModel(couplings=(), linewidth_rad=1e7),
         )
         trace = simulate_storage(cfg, noiseless.sequence)
         seq = noiseless.sequence
@@ -195,7 +197,6 @@ class TestSimulateStorage:
         # the splitting itself still satisfies the config margin
         shift = LightShiftModel(
             couplings=(ShiftCoupling(2.0e9, 5e5),), linewidth_rad=1e7,
-            kappa_rad2=loaded.config.kappa_rad2,
         )
         cfg = replace(loaded.config, light_shift=shift)
         with pytest.raises(ConfigurationError, match="Nyquist"):
@@ -241,3 +242,18 @@ class TestInputBeatFrequency:
         assert input_beat_frequency(cfg) == pytest.approx(
             cfg.magnetic.zeeman_splitting() + 4e3
         )
+
+
+def test_storage_imports_neither_atom_nor_scipy():
+    # trace synthesis reads the light shift from the config, not from the
+    # master-equation module and its scipy dependency
+    code = (
+        "import sys\n"
+        "import lightstore.storage\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'lightstore.atom' or m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lightstore.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
