@@ -9,11 +9,9 @@ intersect the two lines to locate the differential light shift.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, stdtrit
@@ -36,7 +34,6 @@ __all__ = [
     "linear_fit",
     "intersection",
     "slope_significance",
-    "write_fits_csv",
 ]
 
 # Periodogram oversampling for frequency seeding; at least 4x the natural
@@ -518,23 +515,3 @@ class SpectroscopyResult:
             delta_f_ac_hz=x_star,
             delta_f_ac_err_hz=x_err,
         )
-
-
-FITS_CSV_HEADER = ["window_id", "f_b_hz", "f_b_err_hz", "amplitude", "tau_e_s",
-                   "rms_residual", "converged"]
-
-
-def write_fits_csv(rows: "list[tuple[str, BeatFitResult]]", path: "str | Path") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FITS_CSV_HEADER)
-        for window_id, fit in rows:
-            writer.writerow([
-                window_id,
-                repr(fit.f_b_hz),
-                repr(fit.f_b_err_hz),
-                repr(fit.amplitude),
-                repr(fit.envelope_decay_time_s),
-                repr(fit.rms_residual),
-                str(fit.converged).lower(),
-            ])

@@ -12,9 +12,7 @@ amplitudes), and pure dephasing of the ground coherence at gamma_gg.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,7 +35,6 @@ __all__ = [
     "steady_state",
     "transmission_spectrum",
     "spectrum_fwhm",
-    "write_spectrum_csv",
 ]
 
 TRACE_TOL = 1e-9
@@ -121,11 +118,12 @@ def build_hamiltonian(
     """Rotating-frame Hamiltonian (rad/s) of the driven system.
 
     Diagonal entries encode the one- and two-photon detunings; off-diagonal
-    entries are -Omega/2 on each leg of a drive that is on.  The fields' Rabi
-    frequencies, which their ExperimentConfig derives, carry the primary-leg
-    amplitude; the second-level legs are rescaled by the amplitude ratio, so
-    a field without primary-leg amplitude couples nowhere.  With both drives
-    off the matrix is diagonal.
+    entries are -Omega/2 on each leg of a drive that is on.  Each leg's
+    Omega is the field's unit-amplitude coupling sqrt(kappa I), which its
+    ExperimentConfig derives, times the leg's amplitude: |cg| on the primary
+    leg, and cg2 on the second-level leg, its sign flipped when cg < 0 so
+    the two legs keep their relative sign.  With both drives off the matrix
+    is diagonal.
     """
     if include_second_excited and scheme.second_excited_label is None:
         raise ConfigurationError("scheme has no second excited level")
@@ -146,7 +144,7 @@ def build_hamiltonian(
         if include_second_excited:
             cg = scheme.weight(g_label, scheme.excited_label, field.polarization)
             cg2 = scheme.weight(g_label, scheme.second_excited_label, field.polarization)
-            omega2 = field.rabi_frequency_rad * (cg2 / cg) if cg else 0.0
+            omega2 = field.unit_rabi_rad * cg2 * (-1.0 if cg < 0.0 else 1.0)
             h[g, 3] = h[3, g] = -0.5 * omega2
     return h
 
@@ -367,11 +365,3 @@ def spectrum_fwhm(points: list[SpectrumPoint]) -> float:
         return x[i] + frac * (x[j] - x[i])
 
     return float(cross(+1) - cross(-1))
-
-
-def write_spectrum_csv(points: list[SpectrumPoint], path: "str | Path") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_r_hz", "transmission", "absorption_proxy"])
-        for p in points:
-            writer.writerow([repr(p.delta_r_hz), repr(p.transmission), repr(p.absorption_proxy)])

@@ -71,8 +71,8 @@ class StudyDefaults:
             raise ConfigurationError("repetitions must be >= 1")
         if self.average_mode not in (AVERAGE_TRACES, FIT_THEN_AVERAGE):
             raise ConfigurationError(f"unknown average_mode {self.average_mode!r}")
-        if self.guard_s < 0.0:
-            raise ConfigurationError("guard_s must be >= 0")
+        if not self.guard_s >= 0.0:
+            raise ConfigurationError(f"guard_s must be >= 0, got {self.guard_s!r}")
         for name in ("delta_r_grid_hz", "dark_resonance_grid_hz",
                      "control_intensity_grid", "signal_intensity_grid"):
             grid = getattr(self, name)
@@ -86,7 +86,11 @@ class StudyDefaults:
 
 @dataclass(frozen=True)
 class LoadedExperiment:
-    """Everything a run needs: physics config, sequence and study settings."""
+    """Everything a run needs: physics config, sequence and study settings.
+
+    A run's snapshot also records the study kind and seed base it ran with
+    (``[plan]``); outside a run both are None.
+    """
 
     config: ExperimentConfig
     sequence: PulseSequence
@@ -330,13 +334,12 @@ def _format(value) -> str:
     return ", ".join(repr(float(v)) for v in value)
 
 
-def dump_config(
-    loaded: LoadedExperiment,
-    path: "str | Path",
-    plan_kind: str | None = None,
-    plan_seed_base: int | None = None,
-) -> None:
-    """Write every field explicitly so the file reloads to the same values."""
+def dump_config(loaded: LoadedExperiment, path: "str | Path") -> None:
+    """Write every field explicitly so the file reloads to the same values.
+
+    ``[plan]`` holds the loaded plan fields that are set, and is left out
+    when neither is.
+    """
     cfg = loaded.config
     objects = {
         "level_scheme": vars(cfg.level_scheme),
@@ -348,13 +351,13 @@ def dump_config(
         "light_shift": vars(cfg.light_shift),
         "durations": {f"{seg.name}_s": seg.duration for seg in loaded.sequence.segments},
         "study": vars(loaded.study),
-        "plan": {"kind": plan_kind, "seed_base": plan_seed_base},
+        "plan": {"kind": loaded.plan_kind, "seed_base": loaded.plan_seed_base},
     }
     parser = _make_parser()
     for section, (target, keys) in _FORMAT.items():
         obj = objects[target]
         items = {key: obj[key] for key in (obj if keys is None else keys)}
-        if section == "plan":  # an unset plan value is left out, and so is an empty [plan]
+        if section == "plan":
             items = {key: value for key, value in items.items() if value is not None}
             if not items:
                 continue

@@ -69,8 +69,9 @@ class LevelScheme:
     clebsch_weights: tuple[tuple[tuple[str, str, str], float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.gamma_e_rad < 0.0 or self.gamma_gg_rad < 0.0:
-            raise ConfigurationError("decay and decoherence rates must be >= 0")
+        for name in ("gamma_e_rad", "gamma_gg_rad"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.gamma_e_rad > 0.0 and self.gamma_gg_rad > 0.1 * self.gamma_e_rad:
             warnings.warn(
                 "gamma_gg is not small compared to gamma_e; the ground coherence "
@@ -109,9 +110,11 @@ class LevelScheme:
 class FieldConfig:
     """One optical field: drive strength, detuning, polarization, geometry.
 
-    ``rabi_frequency_rad`` is the coupling on the field's primary leg.  It is
-    not an argument: the ExperimentConfig holding the field derives it from
-    ``intensity``, and a field outside a config reads NaN.
+    ``rabi_frequency_rad`` is the coupling on the field's primary leg and
+    ``unit_rabi_rad`` = sqrt(kappa * intensity) the coupling of a leg of unit
+    amplitude.  Neither is an argument: the ExperimentConfig holding the
+    field derives both from ``intensity``, and a field outside a config
+    reads NaN.
     ``readout_intensity`` (control field only) lets the retrieval drive
     differ from the preparation drive; None means "same as intensity".
     """
@@ -124,6 +127,7 @@ class FieldConfig:
     angle_alpha_rad: float = 0.0
     readout_intensity: float | None = None
     rabi_frequency_rad: float = field(default=math.nan, init=False)
+    unit_rabi_rad: float = field(default=math.nan, init=False)
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_CONTROL, ROLE_SIGNAL):
@@ -167,6 +171,11 @@ class ShiftCoupling:
 
     detuning_rad: float
     cg_sq: float
+
+    def __post_init__(self) -> None:
+        for name in ("detuning_rad", "cg_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -338,10 +347,12 @@ class ExperimentConfig:
         # differs is swapped for a copy rather than changed in place.
         for name, cg in (("control", self.control_cg()), ("signal", self.signal_cg())):
             f = getattr(self, name)
-            rabi = rabi_from_intensity(f.intensity, cg, self.kappa_rad2)
-            if not f.rabi_frequency_rad == rabi:
+            unit = rabi_from_intensity(f.intensity, 1.0, self.kappa_rad2)
+            rabi = unit * abs(cg)
+            if not (f.rabi_frequency_rad == rabi and f.unit_rabi_rad == unit):
                 f = copy.copy(f)
                 object.__setattr__(f, "rabi_frequency_rad", rabi)
+                object.__setattr__(f, "unit_rabi_rad", unit)
                 object.__setattr__(self, name, f)
 
     # -- derived couplings ------------------------------------------------

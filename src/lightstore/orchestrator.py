@@ -5,10 +5,11 @@ spectroscopy over a Raman-detuning grid, retrieval-intensity sweep, input
 signal-intensity sweep) plus stand-alone fitting of trace files.  Every run
 writes the same layout: a plan.cfg snapshot that reloads to the exact
 configuration, per-point traces and fit tables, a summary.csv, a result.csv
-of scalar outcomes, two-column plotdata files and a run.json of metadata.
-The task that measures a chunk of detuning points, in the parent or in a
-pool worker, writes those points' directories; the parent writes the
-run-level files.
+of scalar outcomes, two-column plotdata files and a run.json of metadata,
+written last as the mark of a finished run.  This module writes every
+table of a run directory; the task that measures a chunk of detuning
+points, in the parent or in a pool worker, writes those points'
+directories, and the parent writes the run-level files.
 Identical seeds yield byte-identical files, apart from run.json's timing,
 whether points are evaluated serially or in a process pool.
 """
@@ -38,9 +39,8 @@ from .analysis import (
     fit_beats,
     linear_fit,
     slope_significance,
-    write_fits_csv,
 )
-from .atom import spectrum_fwhm, transmission_spectrum, write_spectrum_csv
+from .atom import spectrum_fwhm, transmission_spectrum
 from .configfile import (
     AVERAGE_TRACES,
     LoadedExperiment,
@@ -150,7 +150,8 @@ class StudyPlan:
         }[self.kind]
 
     def loaded(self) -> LoadedExperiment:
-        return LoadedExperiment(config=self.config, sequence=self.sequence, study=self.study)
+        return LoadedExperiment(config=self.config, sequence=self.sequence, study=self.study,
+                                plan_kind=self.kind, plan_seed_base=self.seed_base)
 
 
 @dataclass(frozen=True)
@@ -337,6 +338,17 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def write_fits_csv(rows: "list[tuple[str, BeatFitResult]]", path: Path) -> None:
+    """fits.csv: one row per (window id, fit)."""
+    _write_rows_csv(path, ["window_id", "f_b_hz", "f_b_err_hz", "amplitude", "tau_e_s",
+                           "rms_residual", "converged"], [
+        [window_id, *map(_fmt, (fit.f_b_hz, fit.f_b_err_hz, fit.amplitude,
+                                fit.envelope_decay_time_s, fit.rms_residual)),
+         str(fit.converged).lower()]
+        for window_id, fit in rows
+    ])
+
+
 def _write_summary_csv(
     path: Path, points: "tuple[PointRecord, ...]", x_name: str, keys: tuple[str, ...]
 ) -> None:
@@ -368,10 +380,7 @@ def _start_run(plan: StudyPlan) -> tuple[StudyPlan, float, str]:
     if plan.out_dir is not None:
         plan.out_dir.mkdir(parents=True, exist_ok=True)
         (plan.out_dir / "plotdata").mkdir(exist_ok=True)
-        dump_config(
-            plan.loaded(), plan.out_dir / "plan.cfg",
-            plan_kind=plan.kind, plan_seed_base=plan.seed_base,
-        )
+        dump_config(plan.loaded(), plan.out_dir / "plan.cfg")
         reloaded = load_config(plan.out_dir / "plan.cfg")
         plan = replace(
             plan, config=reloaded.config, sequence=reloaded.sequence, study=reloaded.study
@@ -386,7 +395,7 @@ def _finish_run(
     t_start: float,
     started_at: str,
 ) -> RunRecord:
-    """Write result.csv, then run.json, and return the run's record."""
+    """Write result.csv, then run.json last, and return the run's record."""
     record = RunRecord(
         kind=plan.kind,
         seed_base=plan.seed_base,
@@ -490,9 +499,11 @@ def _run_shift_sweep(
 
     Prepares a nested spectroscopy per grid intensity, measures each of
     them as one task of one pool, then finishes each nested study in order
-    and regresses the extracted shift against intensity.  Returns the
-    surviving (intensity, shift, sigma) triples, the line fits and the
-    record, whose summary is ``summarize(triples, fits)``.
+    and regresses the extracted shift against intensity.  The signal sweep
+    adds a fit restricted to I_S <= I_C.  Returns the surviving (intensity,
+    shift, sigma) triples, the line fits and the record, whose summary is
+    ``summarize(fits, xs, ys, sigmas)`` of the surviving intensities,
+    shifts and floored sigmas.
     """
     plan, t0, started = _start_run(plan)
     with_intensity = with_readout_intensity if vary == "control" else with_signal_intensity
@@ -532,11 +543,9 @@ def _run_shift_sweep(
     xs, ys = np.array([t[0] for t in triples]), np.array([t[1] for t in triples])
     sigmas = np.array([max(t[2], SIGMA_FLOOR_HZ) for t in triples])
     fits = {"full": linear_fit(xs, ys, sigmas)}
-    if vary == "signal":
-        limit = plan.config.control.intensity
-        keep = xs <= limit
-        if int(np.sum(keep)) >= 3:
-            fits["restricted"] = linear_fit(xs[keep], ys[keep], sigmas[keep])
+    keep = xs <= plan.config.control.intensity
+    if vary == "signal" and int(np.sum(keep)) >= 3:
+        fits["restricted"] = linear_fit(xs[keep], ys[keep], sigmas[keep])
 
     if plan.out_dir is not None:
         _write_summary_csv(plan.out_dir / "summary.csv", tuple(sweep_points),
@@ -545,17 +554,15 @@ def _run_shift_sweep(
         _write_plot_xy(plan.out_dir / "plotdata" / "shift_line.csv",
                        *_line_endpoints(fits["full"], xs))
         if "restricted" in fits:
-            keep_xs = xs[xs <= plan.config.control.intensity]
             _write_plot_xy(plan.out_dir / "plotdata" / "shift_line_restricted.csv",
-                           *_line_endpoints(fits["restricted"], keep_xs))
+                           *_line_endpoints(fits["restricted"], xs[keep]))
 
-    record = _finish_run(plan, tuple(sweep_points), summarize(triples, fits), t0, started)
+    record = _finish_run(plan, tuple(sweep_points), summarize(fits, xs, ys, sigmas), t0, started)
     return triples, fits, record
 
 
 def _weighted_r_squared(fit: LineFit, xs, ys, sigmas) -> float:
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
+    w = 1.0 / sigmas**2
     y_bar = float(np.sum(w * ys) / np.sum(w))
     ss_res = float(np.sum(w * (ys - fit.predict(xs)) ** 2))
     ss_tot = float(np.sum(w * (ys - y_bar) ** 2))
@@ -567,11 +574,8 @@ def run_control_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]]
     if plan.kind != "control_sweep":
         raise ConfigurationError(f"plan kind {plan.kind!r} is not control_sweep")
 
-    def summarize(triples, fits):
+    def summarize(fits, xs, ys, sigmas):
         fit = fits["full"]
-        xs = [t[0] for t in triples]
-        ys = [t[1] for t in triples]
-        sigmas = [max(t[2], SIGMA_FLOOR_HZ) for t in triples]
         cg_sq = plan.config.control_cg() ** 2
         return (
             ("slope_hz_per_intensity", fit.slope),
@@ -600,7 +604,7 @@ def run_signal_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]],
     if plan.kind != "signal_sweep":
         raise ConfigurationError(f"plan kind {plan.kind!r} is not signal_sweep")
 
-    def summarize(triples, fits):
+    def summarize(fits, xs, ys, sigmas):
         full = fits["full"]
         cg_sq = plan.config.signal_cg() ** 2
         summary = [
@@ -616,8 +620,7 @@ def run_signal_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]],
                 ("restricted_slope_hz_per_intensity", restricted.slope),
                 ("restricted_slope_err_hz_per_intensity", restricted.slope_err),
                 ("restricted_slope_t_statistic", slope_significance(restricted)),
-                ("restricted_n_points",
-                 float(sum(1 for t in triples if t[0] <= plan.config.control.intensity))),
+                ("restricted_n_points", float(restricted.n_points)),
             ]
         return tuple(summary)
 
@@ -643,7 +646,10 @@ def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
         ("background_transmission", float(min(transmissions))),
     )
     if plan.out_dir is not None:
-        write_spectrum_csv(points, plan.out_dir / "summary.csv")
+        _write_rows_csv(plan.out_dir / "summary.csv",
+                        ["delta_r_hz", "transmission", "absorption_proxy"],
+                        [[_fmt(p.delta_r_hz), _fmt(p.transmission), _fmt(p.absorption_proxy)]
+                         for p in points])
         xs = [p.delta_r_hz for p in points]
         _write_plot_xy(plan.out_dir / "plotdata" / "transmission.csv", xs, transmissions)
         _write_plot_xy(plan.out_dir / "plotdata" / "absorption_proxy.csv",
@@ -691,9 +697,12 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
 
     Every grid point goes through the routine the fresh run used, so the
     stored numbers come back exactly and an excluded point is excluded
-    again; a point without a trace file is an error.
+    again; a point without a trace file is an error, and so is a directory
+    without run.json, which a run writes only once it has finished.
     """
     run_dir = Path(run_dir)
+    if not (run_dir / "run.json").is_file():
+        raise OrchestrationError(f"{run_dir} has no run.json: the run did not finish")
     loaded = load_config(run_dir / "plan.cfg")
     if loaded.plan_kind != "spectroscopy":
         raise ConfigurationError(

@@ -10,7 +10,6 @@ the observables of interest are carried entirely by this phase bookkeeping.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import re
@@ -112,8 +111,10 @@ class PhotodiodeTrace:
             raise ValueError("samples contain non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if self.sample_rate_hz <= 0.0:
-            raise ValueError("sample_rate must be > 0")
+        if not (self.sample_rate_hz > 0.0 and math.isfinite(self.sample_rate_hz)):
+            raise ValueError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz!r}")
+        if not math.isfinite(self.t0_s):
+            raise ValueError(f"t0_s must be finite, got {self.t0_s!r}")
 
     @property
     def n_samples(self) -> int:
@@ -230,13 +231,11 @@ _HEADER_RE = re.compile(r"^#\s*sample_rate_hz=(\S+)\s+t0_s=(\S+)\s*$")
 
 
 def write_trace_csv(trace: PhotodiodeTrace, path: "str | Path") -> None:
-    """Trace CSV: one comment header with the sampling metadata, then rows."""
-    times = trace.times()
+    """Trace CSV: one comment header with the sampling metadata, then time,signal rows."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} t0_s={trace.t0_s!r}\n")
-        writer = csv.writer(fh)
-        for t, v in zip(times, trace.samples):
-            writer.writerow([repr(float(t)), repr(float(v))])
+        fh.write("".join([f"{t!r},{v!r}\r\n"
+                          for t, v in zip(trace.times().tolist(), trace.samples.tolist())]))
 
 
 def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:

@@ -21,9 +21,8 @@ from lightstore.analysis import (
     intersection,
     linear_fit,
     slope_significance,
-    write_fits_csv,
 )
-from lightstore.orchestrator import default_windows, point_seed
+from lightstore.orchestrator import default_windows, point_seed, write_fits_csv
 from lightstore.storage import PhotodiodeTrace, simulate_storage
 
 FS = 2.0e7

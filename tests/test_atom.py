@@ -18,7 +18,6 @@ from lightstore.atom import (
     steady_state,
     steady_state_residual,
     transmission_spectrum,
-    write_spectrum_csv,
 )
 from lightstore.model import (
     ConfigurationError,
@@ -27,6 +26,7 @@ from lightstore.model import (
     TWO_PI,
     with_signal_intensity,
 )
+from lightstore.orchestrator import StudyPlan, run_dark_resonance
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-12
@@ -117,6 +117,34 @@ class TestHamiltonian:
         h = build_hamiltonian(scheme, cfg.control, cfg.signal, 0.0)
         assert h[1, 2] == h[2, 1] == 0.0
         assert h[0, 2] == -0.5 * config.signal.rabi_frequency_rad
+
+    def test_second_level_leg_without_a_primary_leg_amplitude_couples(self, config):
+        # the control has no amplitude on g_plus -> e but a unit one on
+        # g_plus -> e2, so only its e2 leg couples, at sqrt(kappa I_C)
+        scheme = replace(config.level_scheme, clebsch_weights=(
+            (("g_minus", "e", "sigma_plus"), 1.0),
+            (("g_plus", "e", "sigma_minus"), 0.0),
+            (("g_minus", "e2", "sigma_plus"), 1.0),
+            (("g_plus", "e2", "sigma_minus"), 1.0),
+        ))
+        cfg = replace(config, level_scheme=scheme, include_second_excited=True)
+        assert cfg.control.intensity == 10.5
+        h = build_hamiltonian(scheme, cfg.control, cfg.signal, 0.0, include_second_excited=True)
+        assert h[1, 2] == 0.0
+        assert h[1, 3] == h[3, 1] == -0.5 * math.sqrt(cfg.kappa_rad2 * 10.5)
+
+    def test_second_level_leg_keeps_the_relative_sign_of_the_amplitudes(self, config):
+        scheme = replace(config.level_scheme, clebsch_weights=(
+            (("g_minus", "e", "sigma_plus"), -0.5),
+            (("g_plus", "e", "sigma_minus"), 1.0),
+            (("g_minus", "e2", "sigma_plus"), 0.25),
+            (("g_plus", "e2", "sigma_minus"), 1.0),
+        ))
+        cfg = replace(config, level_scheme=scheme)
+        h = build_hamiltonian(scheme, cfg.control, cfg.signal, 0.0, include_second_excited=True)
+        # the same ratio cg2 / cg as the primary-leg coupling times the amplitude ratio
+        assert h[0, 3] == pytest.approx(h[0, 2] * (0.25 / -0.5), rel=1e-15)
+        assert h[1, 3] == pytest.approx(h[1, 2], rel=1e-15)
 
     def test_second_level_flag(self, config):
         h = build_hamiltonian(
@@ -353,11 +381,12 @@ class TestTransmissionSpectrum:
         with pytest.raises(ValueError, match="1-D"):
             transmission_spectrum(config, [[0.0, 1.0]])
 
-    def test_csv_round_trip(self, config, tmp_path):
-        points = transmission_spectrum(config, np.linspace(-5e3, 5e3, 5))
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(points, path)
-        with open(path, newline="") as fh:
+    def test_csv_round_trip(self, loaded, tmp_path):
+        study = replace(loaded.study, dark_resonance_grid_hz=tuple(np.linspace(-5e3, 5e3, 5)))
+        plan = StudyPlan.from_loaded(replace(loaded, study=study), "dark_resonance",
+                                     out_dir=tmp_path / "dark")
+        points, _ = run_dark_resonance(plan)
+        with open(tmp_path / "dark" / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["delta_r_hz", "transmission", "absorption_proxy"]
         back = [SpectrumPoint(*map(float, row)) for row in rows[1:]]

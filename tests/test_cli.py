@@ -144,6 +144,36 @@ def test_trace_parse_error_exits_3(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+_TRACE_ROWS = "0.0,1.0\r\n5e-08,1.5\r\n"
+
+
+@pytest.mark.parametrize("name, text, code, message", [
+    ("exp.cfg", "[level_scheme]\ngamma_e_rad = nan\n", 1,
+     "configuration error: gamma_e_rad must be >= 0, got nan"),
+    ("exp.cfg", "[level_scheme]\ngamma_gg_rad = nan\n", 1,
+     "configuration error: gamma_gg_rad must be >= 0, got nan"),
+    ("exp.cfg", "[light_shift]\ncouplings = nan 1.0\n", 1,
+     "configuration error: [light_shift] couplings: detuning_rad must be finite, got nan"),
+    ("exp.cfg", "[analysis]\nguard_s = nan\n", 1,
+     "configuration error: guard_s must be >= 0, got nan"),
+    ("trace.csv", "# sample_rate_hz=nan t0_s=0.0\n" + _TRACE_ROWS, 3,
+     "trace parse error: line 1: sample_rate_hz must be finite and > 0, got nan"),
+    ("trace.csv", "# sample_rate_hz=inf t0_s=0.0\n" + _TRACE_ROWS, 3,
+     "trace parse error: line 1: sample_rate_hz must be finite and > 0, got inf"),
+    ("trace.csv", "# sample_rate_hz=20000000.0 t0_s=nan\n" + _TRACE_ROWS, 3,
+     "trace parse error: line 1: t0_s must be finite, got nan"),
+], ids=["gamma_e_rad", "gamma_gg_rad", "couplings", "guard_s",
+        "trace_sample_rate_nan", "trace_sample_rate_inf", "trace_t0_nan"])
+def test_non_finite_file_value_is_rejected_naming_it(tmp_path, capsys, name, text, code, message):
+    path = tmp_path / name
+    path.write_text(text)
+    command = ["fit", str(path)] if name == "trace.csv" else ["spectroscopy", "--config", str(path)]
+    out = tmp_path / "o"
+    assert main([*command, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_fit_subcommand(tmp_path, capsys):
     fs = 2.0e7
     n = 1200

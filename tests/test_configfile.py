@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,16 @@ from lightstore.configfile import (
 from lightstore.model import ConfigurationError
 
 
+def _run_snapshot():
+    """The defaults as a run holds them: with its plan kind and seed base."""
+    return replace(default_config(), plan_kind="spectroscopy", plan_seed_base=1)
+
+
 def _dumped_keys() -> list[tuple[str, str, str]]:
     """(section, key, value) of every key a run snapshot of the defaults holds."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "default.cfg"
-        dump_config(default_config(), path, plan_kind="spectroscopy", plan_seed_base=1)
+        dump_config(_run_snapshot(), path)
         parser = _make_parser()
         parser.read(path)
     return [(section, key, value) for section in parser.sections()
@@ -52,11 +58,11 @@ def test_round_trip_is_identity(tmp_path):
 
 
 def test_round_trip_is_fixed_point(tmp_path):
-    loaded = default_config()
     first = tmp_path / "a.cfg"
     second = tmp_path / "b.cfg"
-    dump_config(loaded, first, plan_kind="spectroscopy", plan_seed_base=1)
-    dump_config(load_config(first), second, plan_kind="spectroscopy", plan_seed_base=1)
+    dump_config(_run_snapshot(), first)
+    dump_config(load_config(first), second)
+    assert "[plan]\nkind = spectroscopy\nseed_base = 1\n" in first.read_text()
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -65,3 +65,11 @@ def test_cells_that_do_not_line_up_differ_infinitely():
     assert diff("x,2.0\n", "x,1.0\n") == pytest.approx(0.5)
     assert diff("x,1.0\n", "y,1.0\n") == math.inf
     assert diff("x,1.0\n", "x,1.0,2.0\n") == math.inf
+
+
+def test_nonblank_lines_counts_python_lines_with_text(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text("x = 1\n\n   \ny = 2\n")
+    (tmp_path / "sub" / "b.py").write_text("# comment\n")
+    (tmp_path / "notes.txt").write_text("not code\n")
+    assert equivalence.nonblank_lines(tmp_path) == 3

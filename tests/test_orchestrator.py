@@ -1,11 +1,12 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lightstore import orchestrator
-from lightstore.configfile import FIT_THEN_AVERAGE, LoadedExperiment
+from lightstore.configfile import FIT_THEN_AVERAGE, LoadedExperiment, dump_config, load_config
 from lightstore.model import ConfigurationError, LightShiftModel
 from lightstore.orchestrator import (
     OrchestrationError,
@@ -183,6 +184,14 @@ class TestRunSpectroscopy:
         run_spectroscopy(StudyPlan.from_loaded(loaded, "spectroscopy", seed_base=3, out_dir=out))
         (out / "points" / "4" / "trace.csv").unlink()
         with pytest.raises(OrchestrationError, match="point 4 "):
+            reanalyze_spectroscopy(out)
+
+    def test_reanalysis_refuses_a_run_without_run_json(self, loaded, tmp_path):
+        # run.json is written last: without it the run may have stopped midway
+        out = tmp_path / "run"
+        run_spectroscopy(StudyPlan.from_loaded(loaded, "spectroscopy", seed_base=3, out_dir=out))
+        (out / "run.json").unlink()
+        with pytest.raises(OrchestrationError, match=re.escape(f"{out} has no run.json")):
             reanalyze_spectroscopy(out)
 
     def test_reanalysis_refuses_a_run_without_traces(self, loaded, tmp_path):
@@ -373,3 +382,12 @@ class TestStudyPlan:
     def test_seed_defaults_to_config(self, loaded):
         plan = StudyPlan.from_loaded(loaded, "spectroscopy")
         assert plan.seed_base == loaded.config.rng_seed
+
+    def test_run_snapshot_redumps_to_the_same_bytes(self, loaded, tmp_path):
+        out = tmp_path / "dark"
+        run_dark_resonance(StudyPlan.from_loaded(loaded, "dark_resonance", seed_base=7,
+                                                 out_dir=out))
+        snapshot = load_config(out / "plan.cfg")
+        assert (snapshot.plan_kind, snapshot.plan_seed_base) == ("dark_resonance", 7)
+        dump_config(snapshot, tmp_path / "again.cfg")
+        assert (tmp_path / "again.cfg").read_bytes() == (out / "plan.cfg").read_bytes()

@@ -7,6 +7,7 @@ signal sweep and the dark resonance.  Then it compares the two trees of run
 directories file by file.  ``run.json`` may differ only in its timing; every
 other file must be byte-identical.  For a CSV file that is not, it prints the
 largest relative difference of any cell.  Exits 1 on any difference.
+It also prints the non-blank line count of ``src/lightstore`` in both trees.
 
     python tools/equivalence.py --parent <rev>
 
@@ -106,6 +107,12 @@ def compare_trees(dir_a: Path, dir_b: Path) -> Comparison:
     return result
 
 
+def nonblank_lines(package: Path) -> int:
+    """Non-blank lines of every Python file under a package directory."""
+    return sum(1 for path in package.rglob("*.py")
+               for line in path.read_text().splitlines() if line.strip())
+
+
 def export_revision(rev: str, dest: Path) -> None:
     """Write the files of a revision of this repository into dest."""
     archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
@@ -138,6 +145,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:
         root = Path(tmp)
         export_revision(args.parent, root / "parent")
+        print("src/lightstore non-blank lines: "
+              f"parent {nonblank_lines(root / 'parent' / 'src' / 'lightstore')}, "
+              f"child {nonblank_lines(REPO / 'src' / 'lightstore')}")
         equal = True
         for jobs in JOBS:
             trees = {}
