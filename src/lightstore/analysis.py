@@ -9,12 +9,12 @@ intersect the two lines to locate the differential light shift.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtrit
 
 from .storage import PhotodiodeTrace
 
@@ -465,9 +465,41 @@ def _chi2_scaled(fit: LineFit) -> LineFit:
     )
 
 
+def _t_two_sided_cdf(t: float, dof: int) -> float:
+    """P(|T| < t) for Student's t with an integer dof (Abramowitz & Stegun 26.7.3-4)."""
+    theta = math.atan(t / math.sqrt(dof))
+    # cos^2 theta as 1 - sin^2 theta: its rounding error grows with each power
+    cos2 = 1.0 - t * t / (dof + t * t)
+    term = total = 1.0
+    # the series runs over the odd (even dof) or even (odd dof) j below dof - 2
+    for j in range(1 + dof % 2, dof - 2, 2):
+        term *= cos2 * j / (j + 1)
+        total += term
+    if dof % 2 == 0:
+        return math.sin(theta) * total
+    if dof == 1:
+        return 2.0 * theta / math.pi
+    return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+
+
+@functools.lru_cache(maxsize=None)
 def _t_small_sample_factor(dof: int) -> float:
-    """Student-t over normal 68.27% quantile ratio for the given dof."""
-    return float(stdtrit(dof, ndtr(1.0)))
+    """Student-t over normal 68.27% quantile ratio for the given dof.
+
+    The normal quantile is 1, so this is the t with P(|T| < t) = erf(1/sqrt 2),
+    found by bisection down to adjacent floats.  It is at least 1 and, at
+    dof = 1, tan(pi/2 erf(1/sqrt 2)) < 2.
+    """
+    if dof < 1:
+        raise ValueError(f"Student-t factor needs dof >= 1, got {dof}")
+    target = math.erf(1.0 / math.sqrt(2.0))
+    lo, hi = 1.0, 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _t_two_sided_cdf(mid, dof) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)

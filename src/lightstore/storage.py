@@ -14,6 +14,8 @@ import functools
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +241,14 @@ def write_trace_csv(trace: PhotodiodeTrace, path: "str | Path") -> None:
 
 
 def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:
-    """Parse a trace CSV; raises TraceParseError naming the offending line."""
+    """Parse a trace CSV; raises TraceParseError naming the offending line.
+
+    The signal cells, everything after each row's first comma, are parsed in
+    one pass.  That pass fails exactly when a row has no comma, more than one
+    comma or a bad signal value, or is blank; the rows are then read one by
+    one, which skips blank rows and names the first bad line.  The time
+    column is never parsed.
+    """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -255,6 +264,22 @@ def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:
         t0 = float(match.group(2))
     except ValueError as exc:
         raise TraceParseError(f"line 1: bad header value: {exc}") from exc
+    try:
+        values = np.array(
+            list(map(itemgetter(2), map(str.partition, lines[1:], repeat(",")))), dtype=float
+        )
+    except ValueError:
+        values = np.array(_read_rows(lines))
+    if not values.size:
+        raise TraceParseError("line 2: trace has no samples")
+    try:
+        return PhotodiodeTrace(t0_s=t0, sample_rate_hz=fs, samples=values)
+    except ValueError as exc:
+        raise TraceParseError(f"line 1: {exc}") from exc
+
+
+def _read_rows(lines: list[str]) -> list[float]:
+    """Signal values of the rows after the header, skipping blank rows."""
     values = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -266,9 +291,4 @@ def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:
             values.append(float(parts[1]))
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: bad signal value: {exc}") from exc
-    if not values:
-        raise TraceParseError("line 2: trace has no samples")
-    try:
-        return PhotodiodeTrace(t0_s=t0, sample_rate_hz=fs, samples=np.array(values))
-    except ValueError as exc:
-        raise TraceParseError(f"line 1: {exc}") from exc
+    return values

@@ -16,6 +16,7 @@ from lightstore.analysis import (
     RankDeficientError,
     SpectroscopyPoint,
     SpectroscopyResult,
+    _t_small_sample_factor,
     fit_beat,
     fit_beats,
     intersection,
@@ -356,6 +357,20 @@ class TestSpectroscopyResult:
         result = SpectroscopyResult.from_points(self._points(7000.0, slope_ret=1.0))
         assert math.isnan(result.delta_f_ac_hz)
         assert math.isnan(result.delta_f_ac_err_hz)
+
+
+class TestTSmallSampleFactor:
+    def test_matches_the_scipy_quantile(self):
+        special = pytest.importorskip("scipy.special")
+        for dof in range(2, 300):
+            expected = float(special.stdtrit(dof, special.ndtr(1.0)))
+            assert abs(_t_small_sample_factor(dof) - expected) <= 1e-14 * expected, dof
+        assert _t_small_sample_factor(14) == float(special.stdtrit(14, special.ndtr(1.0)))
+
+    @pytest.mark.parametrize("dof", [0, -3])
+    def test_dof_below_one_rejected(self, dof):
+        with pytest.raises(ValueError, match="dof >= 1"):
+            _t_small_sample_factor(dof)
 
 
 def test_fits_csv_schema(tmp_path):

@@ -219,6 +219,46 @@ class TestEvolve:
             evolve(DensityMatrix.pure(4, 0), config, sequence)
 
 
+def _step_matrices(config, sequence, samples_per_segment=25):
+    """Each segment's generator times its sample spacing, as evolve builds it."""
+    steps = []
+    for seg in sequence.segments:
+        gen0, gen1 = atom._generator(config, seg.control_on, seg.signal_on)
+        dt = (seg.t_end - seg.t_start) / (samples_per_segment - 1)
+        steps.append((gen0 + config.delta_r_hz * gen1) * dt)
+    return steps
+
+
+class TestExpm:
+    """atom._expm against scipy.linalg.expm, relative in the Frobenius norm."""
+
+    @staticmethod
+    def _relative_to_scipy(m):
+        linalg = pytest.importorskip("scipy.linalg")
+        expected = linalg.expm(m)
+        return np.linalg.norm(atom._expm(m) - expected) / np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_step_matrix_of_each_default_segment(self, loaded, index):
+        m = _step_matrices(loaded.config, loaded.sequence)[index]
+        assert self._relative_to_scipy(m) < 1e-13
+
+    def test_zero_matrix(self):
+        assert self._relative_to_scipy(np.zeros((9, 9), dtype=complex)) < 1e-13
+
+    def test_one_norm_below_theta13(self, loaded):
+        # scaled so that no squaring is needed
+        m = _step_matrices(loaded.config, loaded.sequence)[1]
+        m = m * (4.0 / np.linalg.norm(m, 1))
+        assert self._relative_to_scipy(m) < 1e-13
+
+    def test_norm_above_1e3(self, loaded):
+        # one step over the whole input segment
+        m = _step_matrices(loaded.config, loaded.sequence, samples_per_segment=2)[1]
+        assert np.linalg.norm(m, 1) > 1e3
+        assert self._relative_to_scipy(m) < 1e-13
+
+
 class TestSteadyState:
     def test_control_only_pumps_g_minus(self, config):
         cfg = with_signal_intensity(config, 0.0)

@@ -231,6 +231,34 @@ class TestTraceCsv:
         with pytest.raises(TraceParseError, match="line 3"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("rows, samples", [
+        # a space inside the time cell: the signal is still the cell after the comma
+        ("1.0 2.0,3.0\n", [3.0]),
+        # the time column is never parsed
+        ("abc,1.0\n2e-7,2.0\n", [1.0, 2.0]),
+        # counts that balance across rows: three cells, then an empty time cell
+        ("1 2,3\n,4\n", [3.0, 4.0]),
+        ("0.0,1.0\n\n  \n4e-7,2.0\n", [1.0, 2.0]),
+    ])
+    def test_rows_the_one_pass_parse_cannot_take_read_row_by_row(self, tmp_path, rows, samples):
+        path = tmp_path / "t.csv"
+        path.write_text("# sample_rate_hz=5000000.0 t0_s=0.0\n" + rows)
+        assert read_trace_csv(path).samples.tolist() == samples
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0,1.0\n2e-7,oops\n",
+         "line 3: bad signal value: could not convert string to float: 'oops'"),
+        # one cell, then three: the comma count equals the row count
+        ("1\n2,3,4\n", "line 2: expected 'time_s,signal', got '1'"),
+        ("0.0,1.0\n2e-7,2.0,\n", "line 3: expected 'time_s,signal', got '2e-7,2.0,'"),
+    ])
+    def test_bad_rows_are_named_by_line(self, tmp_path, rows, message):
+        path = tmp_path / "t.csv"
+        path.write_text("# sample_rate_hz=5000000.0 t0_s=0.0\n" + rows)
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == message
+
     def test_non_finite_samples_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             PhotodiodeTrace(t0_s=0.0, sample_rate_hz=1e6, samples=np.array([1.0, np.nan]))
