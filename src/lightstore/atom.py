@@ -70,27 +70,55 @@ class DensityMatrix:
 
     @property
     def trace_deviation(self) -> float:
-        return abs(np.trace(self.matrix) - 1.0)
+        return float(_trace_deviations(self.matrix[None])[0])
 
     @property
     def hermiticity_deviation(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        return float(_hermiticity_deviations(self.matrix[None])[0])
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))))
+        return float(_min_eigenvalues(self.matrix[None])[0])
 
     def check(self) -> None:
         """Raise if the trace/Hermiticity/positivity invariants are violated."""
-        problems = []
-        if self.trace_deviation > TRACE_TOL:
-            problems.append(f"|trace - 1| = {self.trace_deviation:.3e}")
-        if self.hermiticity_deviation > HERMITICITY_TOL:
-            problems.append(f"hermiticity deviation {self.hermiticity_deviation:.3e}")
-        if self.min_eigenvalue < -POSITIVITY_TOL:
-            problems.append(f"min eigenvalue {self.min_eigenvalue:.3e}")
-        if problems:
-            raise ValueError("invalid density matrix: " + ", ".join(problems))
+        _check_states(self.matrix[None])
+
+
+def _trace_deviations(states: np.ndarray) -> np.ndarray:
+    return np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+
+
+def _hermiticity_deviations(states: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
+
+
+def _min_eigenvalues(states: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(0.5 * (states + states.conj().transpose(0, 2, 1)))[:, 0]
+
+
+def _check_states(states: np.ndarray, deltas_hz: "np.ndarray | None" = None) -> None:
+    """Raise for the first of a (k, n, n) stack of states that violates an invariant.
+
+    The invariants are a unit trace, Hermiticity and no negative eigenvalue,
+    each within its tolerance.  With the states' Raman detunings given, the
+    message names the failing state's delta_r.
+    """
+    trace_dev = _trace_deviations(states)
+    herm_dev = _hermiticity_deviations(states)
+    min_eig = _min_eigenvalues(states)
+    failures = (
+        (trace_dev > TRACE_TOL, "|trace - 1| = {:.3e}", trace_dev),
+        (herm_dev > HERMITICITY_TOL, "hermiticity deviation {:.3e}", herm_dev),
+        (min_eig < -POSITIVITY_TOL, "min eigenvalue {:.3e}", min_eig),
+    )
+    bad = np.flatnonzero(np.any([failing for failing, _, _ in failures], axis=0))
+    if bad.size:
+        i = bad[0]
+        where = "" if deltas_hz is None else f" at delta_r {float(deltas_hz[i])!r} Hz"
+        raise ValueError(f"invalid density matrix{where}: " + ", ".join(
+            text.format(values[i]) for failing, text, values in failures if failing[i]
+        ))
 
 
 @dataclass(frozen=True)
@@ -298,32 +326,53 @@ def steady_state_residual(config: ExperimentConfig, state: DensityMatrix) -> flo
     return float(np.linalg.norm(gen_n @ state.matrix.reshape(-1)))
 
 
+def _raise_if_degenerate(gens: np.ndarray, deltas_hz: np.ndarray, rows: np.ndarray) -> None:
+    """Count the zero modes of the given points by SVD; name the first with more than one."""
+    svals = np.linalg.svd(gens[rows], compute_uv=False)
+    zero_modes = np.sum(svals < 1e-10 * svals[:, :1], axis=1)
+    for j in np.flatnonzero(zero_modes > 1):
+        raise DegenerateSteadyStateError(
+            f"steady space at delta_r {float(deltas_hz[rows[j]])!r} Hz is degenerate: "
+            f"{zero_modes[j]} zero modes (smallest normalized singular values "
+            f"{svals[j, -zero_modes[j]:]})"
+        )
+
+
 def _steady_states(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarray:
     """Stationary density matrices, shape (k, n, n), at each Raman detuning.
 
-    The first row of each rate-normalized generator is replaced by the trace
-    condition, and one stacked linear solve gives every state.  A point with
-    more than one zero mode or a normalized residual above 1e-10 is named in
-    the error.
+    The first row of each rate-normalized generator L is replaced by the
+    trace condition, and one stacked inverse of these bordered matrices A
+    gives every state as its first column.  The same inverse bounds each
+    point's condition number by ||A||_F ||A^-1||_F.  Only the points whose
+    bound is 1e8 or more, or not finite, have their zero modes counted by
+    SVD, and a point with more than one zero mode is named in the error.  If
+    the inverse fails, every point is counted, and without a degenerate one
+    the inverse's error stands.  A point with a normalized residual
+    above 1e-10 is named too.
+
+    The bound misses no degenerate point.  A point has two zero modes when
+    sigma_{m-1}(L) < 1e-10 sigma_1(L).  A differs from L in one row, so
+    sigma_min(A) <= sigma_{m-1}(L); the normalized entries are at most 1,
+    so sigma_1(L) <= m = n**2; and the trace row gives ||A||_F >= sqrt(n).
+    Then ||A||_F ||A^-1||_F >= sqrt(n) / sigma_min(A) > sqrt(n) / (1e-10 n**2),
+    which is at least 1.25e9 for n <= 4.
     """
     if config.level_scheme.gamma_e_rad <= 0.0 and config.level_scheme.gamma_gg_rad <= 0.0:
         raise DegenerateSteadyStateError("no decay channel; steady state undefined")
     gens = _normalized_generators(config, deltas_hz)
     k, m = gens.shape[:2]
     n = int(np.sqrt(m))
-    svals = np.linalg.svd(gens, compute_uv=False)
-    zero_modes = np.sum(svals < 1e-10 * svals[:, :1], axis=1)
-    for i in np.flatnonzero(zero_modes > 1):
-        raise DegenerateSteadyStateError(
-            f"steady space at delta_r {float(deltas_hz[i])!r} Hz is degenerate: "
-            f"{zero_modes[i]} zero modes (smallest normalized singular values "
-            f"{svals[i, -zero_modes[i]:]})"
-        )
     a = gens.copy()
     a[:, 0, :] = np.eye(n).reshape(-1)
-    b = np.zeros((k, m, 1), dtype=complex)
-    b[:, 0] = 1.0
-    rho = np.linalg.solve(a, b).reshape(k, n, n)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        _raise_if_degenerate(gens, deltas_hz, np.arange(k))
+        raise
+    bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+    _raise_if_degenerate(gens, deltas_hz, np.flatnonzero(~(bound < 1e8)))
+    rho = inv[:, :, 0].reshape(k, n, n)
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     residuals = np.linalg.norm(gens @ rho.reshape(k, m, 1), axis=(1, 2))
@@ -351,24 +400,16 @@ def signal_coherence(state: DensityMatrix) -> complex:
     return complex(state.matrix[2, 0])
 
 
-def absorption_proxy(config: ExperimentConfig, state: DensityMatrix) -> float:
-    """Normalized signal absorption, 1.0 on bare one-photon resonance.
-
-    Defined as Im<g-|rho|e> scaled by 2 Gamma_opt / Omega_S so that the
-    two-level resonant value is unity.
-    """
-    omega_s = config.signal.rabi_frequency_rad
-    if omega_s <= 0.0:
-        raise ConfigurationError("absorption proxy needs a nonzero signal drive")
-    return 2.0 * optical_coherence_rate(config.level_scheme) * np.imag(signal_coherence(state)) / omega_s
-
-
 def transmission_spectrum(
     config: ExperimentConfig, delta_r_grid_hz: "list[float] | np.ndarray"
 ) -> list[SpectrumPoint]:
     """Signal transmission exp(-OD_eff * absorption) over a Raman-detuning grid.
 
-    All steady states of the grid come from one stacked solve.
+    The absorption proxy is Im<g-|rho|e> scaled by 2 Gamma_opt / Omega_S, so
+    that the two-level resonant value is unity; it needs a signal drive.
+    All steady states of the grid come from one stacked inverse, with an SVD
+    only at points whose condition bound flags them (see _steady_states),
+    and are checked as one array; an invalid state is named by its delta_r.
     """
     grid = np.asarray(delta_r_grid_hz, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -380,14 +421,15 @@ def transmission_spectrum(
     # the config checks depend on delta_r only through the Nyquist margin,
     # which grows with |delta_r|: checking the widest point checks them all
     replace(config, delta_r_hz=float(grid[np.argmax(np.abs(grid))]))
-    points = []
-    for delta, rho in zip(grid, _steady_states(config, grid)):
-        state = DensityMatrix(rho)
-        state.check()
-        a = absorption_proxy(config, state)
-        transmission = min(float(np.exp(-config.od_eff * a)), 1.0)
-        points.append(SpectrumPoint(float(delta), transmission, a))
-    return points
+    omega_s = config.signal.rabi_frequency_rad
+    if omega_s <= 0.0:
+        raise ConfigurationError("absorption proxy needs a nonzero signal drive")
+    states = _steady_states(config, grid)
+    _check_states(states, grid)
+    proxies = 2.0 * optical_coherence_rate(config.level_scheme) * states[:, 2, 0].imag / omega_s
+    transmissions = np.minimum(np.exp(-config.od_eff * proxies), 1.0)
+    return [SpectrumPoint(*point) for point in
+            zip(grid.tolist(), transmissions.tolist(), proxies.tolist())]
 
 
 def spectrum_fwhm(points: list[SpectrumPoint]) -> float:

@@ -356,16 +356,53 @@ class TestSteadyState:
             transmission_spectrum(dark, [-1e3, 0.0, 1e3])
 
     def test_residual_error_names_point(self, config, monkeypatch):
-        solve = np.linalg.solve
+        inv = np.linalg.inv
 
-        def perturbed(a, b):
-            x = solve(a, b)
+        def perturbed(a):
+            x = inv(a)
             x[1] += 1e-6
             return x
 
-        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        monkeypatch.setattr(np.linalg, "inv", perturbed)
         with pytest.raises(DegenerateSteadyStateError, match=r"residual .* delta_r 0\.0 Hz"):
             transmission_spectrum(config, [-1e3, 0.0, 1e3])
+
+    @pytest.mark.parametrize("second", [False, True], ids=["three_level", "four_level"])
+    def test_condition_bound_misses_no_degenerate_point(self, config, second):
+        # the g_plus leg weight (decay into g_plus and the control's coupling)
+        # and the control intensity go to 0 in decades, without ground
+        # dephasing; the oracle is the zero-mode count of the full SVD of
+        # every point, with the error text it gives
+        grid = np.array([-60e3, -1e3, 0.0, 1e3, 60e3])
+        scales = [10.0**-e for e in range(9)] + [0.0]
+        outcomes = {"degenerate": 0, "near_degenerate_solved": 0}
+        for w_scale in scales:
+            for i_scale in scales:
+                scheme = replace(config.level_scheme, gamma_gg_rad=0.0, clebsch_weights=tuple(
+                    (key, w * w_scale if key[0] == "g_plus" else w)
+                    for key, w in config.level_scheme.clebsch_weights
+                ))
+                cfg = replace(
+                    config, level_scheme=scheme, include_second_excited=second,
+                    control=replace(config.control, intensity=config.control.intensity * i_scale),
+                )
+                svals = np.linalg.svd(atom._normalized_generators(cfg, grid), compute_uv=False)
+                zero_modes = np.sum(svals < 1e-10 * svals[:, :1], axis=1)
+                for delta, sv, zm in zip(grid, svals, zero_modes):
+                    if zm > 1:
+                        outcomes["degenerate"] += 1
+                        with pytest.raises(DegenerateSteadyStateError) as excinfo:
+                            atom._steady_states(cfg, np.array([delta]))
+                        assert str(excinfo.value) == (
+                            f"steady space at delta_r {float(delta)!r} Hz is degenerate: "
+                            f"{zm} zero modes (smallest normalized singular values {sv[-zm:]})"
+                        )
+                    else:
+                        rho = atom._steady_states(cfg, np.array([delta]))[0]
+                        assert abs(np.trace(rho) - 1.0) < 1e-12
+                        if sv[-2] < 1e-8 * sv[0]:
+                            outcomes["near_degenerate_solved"] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
     def test_4_level_flag(self, config):
         state = steady_state(replace(config, include_second_excited=True))
@@ -397,6 +434,28 @@ class TestTransmissionSpectrum:
         points = transmission_spectrum(weak, np.linspace(-5e3, 5e3, 5))
         peak = max(p.transmission for p in points)
         assert peak > 1.0 - 1e-3
+
+    def test_zero_signal_is_refused_before_any_solve(self, config, monkeypatch):
+        calls = []
+        monkeypatch.setattr(atom, "_steady_states", lambda *args: calls.append(args))
+        with pytest.raises(ConfigurationError, match="absorption proxy needs a nonzero signal drive"):
+            transmission_spectrum(with_signal_intensity(config, 0.0), [-1e3, 0.0, 1e3])
+        assert calls == []
+
+    def test_invalid_state_names_its_point(self, config, monkeypatch):
+        original = atom._steady_states
+
+        def injected(cfg, deltas_hz):
+            states = original(cfg, deltas_hz)
+            states[2] = np.diag([1.1, -0.1, 0.0])
+            return states
+
+        monkeypatch.setattr(atom, "_steady_states", injected)
+        with pytest.raises(
+            ValueError,
+            match=r"^invalid density matrix at delta_r 1000\.0 Hz: min eigenvalue -1\.000e-01$",
+        ):
+            transmission_spectrum(config, [-1e3, 0.0, 1e3, 2e3])
 
     def test_symmetric_spectrum(self, config):
         grid = np.linspace(-30e3, 30e3, 31)
