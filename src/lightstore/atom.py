@@ -387,8 +387,8 @@ def _steady_states(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarra
 def steady_state(config: ExperimentConfig) -> DensityMatrix:
     """Stationary state of the driven, damped system at the config's detuning.
 
-    The one-point case of the stacked solve; the normalized residual is
-    verified below 1e-10.
+    The one-point case of _steady_states (stacked inverse, condition bound,
+    SVD on flagged points); the normalized residual is verified below 1e-10.
     """
     state = DensityMatrix(_steady_states(config, np.array([config.delta_r_hz]))[0])
     state.check()

@@ -55,3 +55,35 @@ def test_output_without_a_result_line_is_refused():
     with pytest.raises(ValueError, match="not a result line"):
         ab.parse_result("\n".join(detail_only + ['{"detail": {}}']))
 
+
+
+def test_failed_run_still_writes_the_runs_made(monkeypatch, tmp_path):
+    benchmark = json.loads((ab.REPO / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((workload, seed, seconds))
+        if len(calls) == 4:
+            raise RuntimeError(f"{workload} exited 1")
+        result, detail = ab.parse_result(_output(70.0 + len(calls), 14.0))
+        for m in benchmark["end_to_end"]:
+            result["metrics"].setdefault(m["name"], {"value": 1.0, "unit": m["unit"]})
+        return result, detail
+
+    monkeypatch.setattr(ab, "export_revision", lambda rev, dest: None)
+    monkeypatch.setattr(ab, "run_benchmark", fake_run)
+    out = tmp_path / "BENCH_partial.json"
+    status = ab.main(["--parent", "HEAD", "--workload", "master-equation",
+                      "--pairs", "3", "--seed", "7", "--out", str(out)])
+    assert status == 1
+    # every run takes the benchmark's run length; pair 2 runs the child first
+    assert calls == [("master-equation", 7, float(benchmark["run_seconds"])),
+                     ("master-equation", 7, float(benchmark["run_seconds"])),
+                     ("master-equation", 8, float(benchmark["run_seconds"])),
+                     ("master-equation", 8, float(benchmark["run_seconds"]))]
+    report = json.loads(out.read_text())
+    assert report["failed"] == "master-equation exited 1"
+    runs = report["workloads"]["master-equation"]["runs"]
+    assert [r["ops_per_s"] for r in runs["parent"]] == [71.0]
+    assert [r["ops_per_s"] for r in runs["child"]] == [72.0, 73.0]
+    assert "summary" not in report["workloads"]["master-equation"]

@@ -3,17 +3,18 @@
 Exports the parent the way tools/equivalence.py does, then runs
 ``perfbench/run.py --trace 0`` of each tree on every workload in pairs
 numbered from 1, the parent first in odd pairs and the child first in even
-ones, pair p with seed ``--seed`` + p - 1.  Each tree runs its own benchmark on its own source.  Writes
+ones, pair p with seed ``--seed`` + p - 1.  Each tree runs its own benchmark
+on its own source, for the run length that BENCHMARK.json fixes.  Writes
 a BENCH_*.json: per workload and end-to-end metric of BENCHMARK.json, each
 side's median and quartiles and the number of pairs the child won, followed
 by every run's values.
 
     python tools/ab.py --parent <rev> --workload master-equation --pairs 10 \\
-        --seconds 30 --seed 101 --out BENCH_change.json --change "what changed"
+        --seed 101 --out BENCH_change.json --change "what changed"
 
-``--workload`` may be given more than once; ``--seconds`` defaults to the
-run length of BENCHMARK.json.  Exits 1 if a run fails to print a result
-line.
+``--workload`` may be given more than once.  If a run fails to print a
+result line, the report is still written, with every run made so far and
+the failure under ``"failed"``, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -86,37 +87,35 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True, action="append", help="benchmark workload")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", type=Path, help="BENCH_*.json to write (default: stdout)")
     parser.add_argument("--change", default="", help="what the change does")
     args = parser.parse_args(argv)
+    if args.pairs < 2 or args.seed < 0:
+        parser.error("--pairs must be >= 2 (for quartiles) and --seed >= 0")
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = float(benchmark["run_seconds"])
-    if args.pairs < 2 or args.seconds <= 0 or args.seed < 0:
-        parser.error("--pairs must be >= 2 (for quartiles), --seconds > 0 and --seed >= 0")
+    seconds = float(benchmark["run_seconds"])
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     report = {
-        "what": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}, {args.pairs} alternating "
-                "parent/child pairs per workload (odd pairs parent first, even pairs child "
-                f"first), seed = {args.seed} + pair - 1",
+        "what": f"perfbench/run.py --trace 0 --seconds {seconds:g} (BENCHMARK.json run_seconds), "
+                f"{args.pairs} alternating parent/child pairs per workload (odd pairs parent "
+                f"first, even pairs child first), seed = {args.seed} + pair - 1",
         "change": args.change,
         "parent": args.parent,
         "environment": {},
         "workloads": {},
     }
+    status = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {"parent": Path(tmp) / "parent", "child": REPO}
         export_revision(args.parent, roots["parent"])
         try:
             for workload in args.workload:
                 runs = {side: [] for side in SIDES}
+                report["workloads"][workload] = {"runs": runs}
                 for i in range(args.pairs):
                     for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                        result, detail = run_benchmark(
-                            roots[side], workload, args.seed + i, args.seconds
-                        )
+                        result, detail = run_benchmark(roots[side], workload, args.seed + i, seconds)
                         runs[side].append(run_record(i + 1, result))
                         if side == "child":
                             report["environment"] = {k: detail["env"].get(k) for k in
@@ -127,13 +126,14 @@ def main(argv=None) -> int:
                                                  "runs": runs}
         except (RuntimeError, ValueError) as exc:
             print(exc, file=sys.stderr)
-            return 1
+            report["failed"] = str(exc)
+            status = 1
     text = json.dumps(report, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
         args.out.write_text(text)
-    return 0
+    return status
 
 
 if __name__ == "__main__":
