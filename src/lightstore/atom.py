@@ -107,10 +107,10 @@ def _check_states(states: np.ndarray, deltas_hz: "np.ndarray | None" = None) -> 
     trace_dev = _trace_deviations(states)
     herm_dev = _hermiticity_deviations(states)
     min_eig = _min_eigenvalues(states)
-    failures = (
-        (trace_dev > TRACE_TOL, "|trace - 1| = {:.3e}", trace_dev),
-        (herm_dev > HERMITICITY_TOL, "hermiticity deviation {:.3e}", herm_dev),
-        (min_eig < -POSITIVITY_TOL, "min eigenvalue {:.3e}", min_eig),
+    failures = (  # each written so that NaN fails it
+        (~(trace_dev <= TRACE_TOL), "|trace - 1| = {:.3e}", trace_dev),
+        (~(herm_dev <= HERMITICITY_TOL), "hermiticity deviation {:.3e}", herm_dev),
+        (~(min_eig >= -POSITIVITY_TOL), "min eigenvalue {:.3e}", min_eig),
     )
     bad = np.flatnonzero(np.any([failing for failing, _, _ in failures], axis=0))
     if bad.size:
@@ -187,9 +187,14 @@ def _generator(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lindblad generator L0 + delta_R * L1 (delta_R in Hz) on row-major vectorized states.
 
-    Only the drives that are on add Hamiltonian terms.  The Raman detuning
-    enters on one diagonal entry of H, so L1 is diagonal and all points of a
-    spectrum share L0.
+    Entry ((i, j), (k, l)) is the rate at which rho_kl feeds d rho_ij / dt.
+    The Hamiltonian adds -i (H_ik delta_jl - delta_ik H_lj), and only the
+    drives that are on add terms.  A decay g <- e at rate gamma moves
+    population from (e, e) to (g, g) and damps every element in row or
+    column e by gamma / 2; the ground dephasing, the jump diag(d) with
+    d = sqrt(gamma_gg / 2) (1, -1, 0...), damps element (i, j) by
+    (d_i - d_j)**2 / 2.  The Raman detuning enters on one diagonal entry of
+    H, so L1 is diagonal and all points of a spectrum share L0.
     """
     scheme, second = config.level_scheme, config.include_second_excited
     h0 = build_hamiltonian(
@@ -197,8 +202,9 @@ def _generator(
     )
     n = h0.shape[0]
     eye = np.eye(n)
-    gen0 = -1j * (np.kron(h0, eye) - np.kron(eye, h0.T))
-    ops: list[np.ndarray] = []
+    gen0 = -1j * (h0[:, None, :, None] * eye[None, :, None, :]
+                  - eye[:, None, :, None] * h0.T[None, :, None, :]).reshape(n * n, n * n)
+    loss = np.zeros(n)
     excited = [(2, scheme.excited_label)] + ([(3, scheme.second_excited_label)] if second else [])
     grounds = [
         (0, scheme.ground_minus_label, "sigma_plus"),
@@ -211,19 +217,12 @@ def _generator(
             weights, total = [1.0, 1.0], 2.0
         for (g_idx, _, _), w in zip(grounds, weights):
             rate = scheme.gamma_e_rad * w / total
-            if rate > 0.0:
-                op = np.zeros((n, n), dtype=complex)
-                op[g_idx, e_idx] = np.sqrt(rate)
-                ops.append(op)
-    if scheme.gamma_gg_rad > 0.0:
-        deph = np.zeros((n, n), dtype=complex)
-        deph[0, 0] = np.sqrt(scheme.gamma_gg_rad / 2.0)
-        deph[1, 1] = -np.sqrt(scheme.gamma_gg_rad / 2.0)
-        ops.append(deph)
-    for op in ops:
-        opdop = op.conj().T @ op
-        gen0 += np.kron(op, op.conj())
-        gen0 -= 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
+            gen0[g_idx * (n + 1), e_idx * (n + 1)] += rate
+            loss[e_idx] += rate
+    deph = np.zeros(n)
+    deph[:2] = np.sqrt(scheme.gamma_gg_rad / 2.0) * np.array([1.0, -1.0])
+    damping = 0.5 * (loss[:, None] + loss[None, :]) + 0.5 * (deph[:, None] - deph[None, :]) ** 2
+    gen0[np.diag_indices(n * n)] -= damping.reshape(-1)
     h1 = np.zeros(n)
     h1[1] = -TWO_PI
     return gen0, np.diag(-1j * (h1[:, None] - h1[None, :]).reshape(-1))
@@ -309,11 +308,24 @@ def evolve(
     return states
 
 
-def _normalized_generators(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarray:
-    """Driven generators at each Raman detuning, each divided by its fastest rate."""
-    gen0, gen1 = _generator(config)
-    gens = gen0 + deltas_hz[:, None, None] * gen1
-    return gens / np.max(np.abs(gens), axis=(1, 2), keepdims=True)
+def _rate_scales(gen0: np.ndarray, gen1: np.ndarray, deltas_hz: np.ndarray) -> np.ndarray:
+    """Largest |entry| of L0 + delta_R L1 at each Raman detuning, shape (k,).
+
+    L1 is diagonal, so each point's largest entry is the larger of L0's
+    largest off-diagonal entry and the point's largest diagonal entry.
+    """
+    diag0, diag1 = np.diagonal(gen0), np.diagonal(gen1)
+    off = np.max(np.abs(gen0 - np.diag(diag0)))
+    return np.maximum(off, np.max(np.abs(diag0 + deltas_hz[:, None] * diag1), axis=1))
+
+
+def _normalized_residuals(
+    gen0: np.ndarray, gen1: np.ndarray, deltas_hz: np.ndarray, scales: np.ndarray,
+    vecs: np.ndarray,
+) -> np.ndarray:
+    """Norm of each point's generator, divided by its scale, applied to its (k, m) state."""
+    applied = vecs @ gen0.T + deltas_hz[:, None] * np.diagonal(gen1) * vecs
+    return np.linalg.norm(applied, axis=1) / scales
 
 
 def steady_state_residual(config: ExperimentConfig, state: DensityMatrix) -> float:
@@ -322,61 +334,111 @@ def steady_state_residual(config: ExperimentConfig, state: DensityMatrix) -> flo
     The generator is divided by its fastest rate so the residual is
     dimensionless and comparable across drive strengths.
     """
-    gen_n = _normalized_generators(config, np.array([config.delta_r_hz]))[0]
-    return float(np.linalg.norm(gen_n @ state.matrix.reshape(-1)))
+    gen0, gen1 = _generator(config)
+    delta = np.array([config.delta_r_hz])
+    scale = _rate_scales(gen0, gen1, delta)
+    return float(_normalized_residuals(gen0, gen1, delta, scale, state.matrix.reshape(1, -1))[0])
 
 
-def _raise_if_degenerate(gens: np.ndarray, deltas_hz: np.ndarray, rows: np.ndarray) -> None:
+def _raise_if_degenerate(gens: np.ndarray, deltas_hz: np.ndarray) -> None:
     """Count the zero modes of the given points by SVD; name the first with more than one."""
-    svals = np.linalg.svd(gens[rows], compute_uv=False)
+    svals = np.linalg.svd(gens, compute_uv=False)
     zero_modes = np.sum(svals < 1e-10 * svals[:, :1], axis=1)
     for j in np.flatnonzero(zero_modes > 1):
         raise DegenerateSteadyStateError(
-            f"steady space at delta_r {float(deltas_hz[rows[j]])!r} Hz is degenerate: "
+            f"steady space at delta_r {float(deltas_hz[j])!r} Hz is degenerate: "
             f"{zero_modes[j]} zero modes (smallest normalized singular values "
             f"{svals[j, -zero_modes[j]:]})"
         )
 
 
+def _low_rank_solve(
+    gen0: np.ndarray, gen1: np.ndarray, deltas_hz: np.ndarray, scales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized states (k, m) and condition bounds (k,) from one inverse and a rank-r update.
+
+    L0 and L1 are divided by the grid's largest entry c, and B(delta) is
+    (L0 + delta L1) / c with row 0 replaced by the trace row.  At the grid
+    point nearest 0, delta_ref, one inverse gives x0 = B0^-1 e0 and
+    G = B0^-1 U, where U selects the r = 2(n-1) entries on which the
+    diagonal L1 is nonzero.  L1's row 0 is zero, so B(delta) = B0 + s U D U^T
+    with s = delta - delta_ref and D = diag(L1)[U] / c.  By Woodbury, one
+    stacked r x r solve gives Y = (I + s D G_U)^-1 s D, and the state is
+    x0 - G Y x0_U.  Raises LinAlgError if B0 or an r x r system is singular.
+    """
+    n = math.isqrt(gen0.shape[0])
+    diag1 = np.diagonal(gen1)
+    rank = np.flatnonzero(diag1)
+    eye = np.eye(rank.size)
+    c = np.max(scales)
+    ref = int(np.argmin(np.abs(deltas_hz)))
+    s_d = (deltas_hz - deltas_hz[ref])[:, None] * (diag1[rank] / c)  # diag(s D), (k, r)
+    b0 = (gen0 + deltas_hz[ref] * gen1) / c
+    b0[0] = np.eye(n).reshape(-1)
+    # the whole inverse rather than a solve for e0 and U: the bound needs ||B0^-1||_F
+    inv0 = np.linalg.inv(b0)
+    g = inv0[:, rank]
+    y = np.linalg.solve(eye + s_d[:, :, None] * g[rank], s_d[:, None, :] * eye)
+    vecs = inv0[:, 0] - (y @ inv0[rank, 0]) @ g.T
+    # ||A||_F of each point's own rate-normalized bordered matrix, exactly:
+    # the trace row, L0's fixed rows 1..m-1 and the moving diagonal entries
+    moving = np.abs(np.diagonal(gen0)[rank] + deltas_hz[:, None] * diag1[rank]) ** 2
+    fixed = np.sum(np.abs(gen0[1:]) ** 2) - np.sum(np.abs(np.diagonal(gen0)[rank]) ** 2)
+    norm_a = np.sqrt(n + (fixed + moving.sum(axis=1)) / scales**2)
+    bound = norm_a * np.linalg.norm(inv0) * (
+        1.0 + np.linalg.norm(g) * np.linalg.norm(y, axis=(1, 2))
+    )
+    return vecs, bound
+
+
 def _steady_states(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarray:
     """Stationary density matrices, shape (k, n, n), at each Raman detuning.
 
-    The first row of each rate-normalized generator L is replaced by the
-    trace condition, and one stacked inverse of these bordered matrices A
-    gives every state as its first column.  The same inverse bounds each
-    point's condition number by ||A||_F ||A^-1||_F.  Only the points whose
-    bound is 1e8 or more, or not finite, have their zero modes counted by
-    SVD, and a point with more than one zero mode is named in the error.  If
-    the inverse fails, every point is counted, and without a degenerate one
-    the inverse's error stands.  A point with a normalized residual
-    above 1e-10 is named too.
+    Each point's state solves A x = e0, where A is its generator L divided
+    by its fastest rate, with the first row replaced by the trace condition.
+    The states come from one inverse at the grid point nearest 0 and a
+    rank-2(n-1) Woodbury update for every other point (see _low_rank_solve):
+    the Raman detuning moves only 2(n-1) diagonal entries of L.  Dividing
+    rows 1..m-1 by a rate changes no solution, so the update may use one
+    scale for the whole grid.  Only the points whose bound is 1e8 or more,
+    or not finite, have their zero modes counted by SVD, and a point with
+    more than one zero mode is named in the error.  If the reference inverse
+    or an update fails, every point is counted, and without a degenerate one
+    the solve's error stands.  A point with a normalized residual above
+    1e-10, or a NaN one, is named too.
 
-    The bound misses no degenerate point.  A point has two zero modes when
-    sigma_{m-1}(L) < 1e-10 sigma_1(L).  A differs from L in one row, so
-    sigma_min(A) <= sigma_{m-1}(L); the normalized entries are at most 1,
-    so sigma_1(L) <= m = n**2; and the trace row gives ||A||_F >= sqrt(n).
-    Then ||A||_F ||A^-1||_F >= sqrt(n) / sigma_min(A) > sqrt(n) / (1e-10 n**2),
-    which is at least 1.25e9 for n <= 4.
+    The bound misses no degenerate point.  From Woodbury,
+    ||B^-1||_F <= ||B0^-1||_F (1 + ||G||_F ||Y||_F), and A is B with rows
+    1..m-1 multiplied by c / rate >= 1, so ||A^-1||_F <= ||B^-1||_F: the
+    low-rank bound is at least ||A||_F ||A^-1||_F.  A point has two zero
+    modes when sigma_{m-1}(L) < 1e-10 sigma_1(L).  A differs from L in one
+    row, so sigma_min(A) <= sigma_{m-1}(L); the normalized entries are at
+    most 1, so sigma_1(L) <= m = n**2; and the trace row gives
+    ||A||_F >= sqrt(n).  Then ||A||_F ||A^-1||_F >= sqrt(n) / sigma_min(A)
+    > sqrt(n) / (1e-10 n**2), which is at least 1.25e9 for n <= 4.
     """
     if config.level_scheme.gamma_e_rad <= 0.0 and config.level_scheme.gamma_gg_rad <= 0.0:
         raise DegenerateSteadyStateError("no decay channel; steady state undefined")
-    gens = _normalized_generators(config, deltas_hz)
-    k, m = gens.shape[:2]
-    n = int(np.sqrt(m))
-    a = gens.copy()
-    a[:, 0, :] = np.eye(n).reshape(-1)
+    gen0, gen1 = _generator(config)
+    scales = _rate_scales(gen0, gen1, deltas_hz)
+
+    def normalized(rows: np.ndarray) -> np.ndarray:
+        return (gen0 + deltas_hz[rows, None, None] * gen1) / scales[rows, None, None]
+
+    k, m = deltas_hz.size, gen0.shape[0]
+    n = math.isqrt(m)
     try:
-        inv = np.linalg.inv(a)
+        vecs, bound = _low_rank_solve(gen0, gen1, deltas_hz, scales)
     except np.linalg.LinAlgError:
-        _raise_if_degenerate(gens, deltas_hz, np.arange(k))
+        _raise_if_degenerate(normalized(np.arange(k)), deltas_hz)
         raise
-    bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-    _raise_if_degenerate(gens, deltas_hz, np.flatnonzero(~(bound < 1e8)))
-    rho = inv[:, :, 0].reshape(k, n, n)
+    flagged = np.flatnonzero(~(bound < 1e8))
+    _raise_if_degenerate(normalized(flagged), deltas_hz[flagged])
+    rho = vecs.reshape(k, n, n)
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    residuals = np.linalg.norm(gens @ rho.reshape(k, m, 1), axis=(1, 2))
-    for i in np.flatnonzero(residuals > 1e-10):
+    residuals = _normalized_residuals(gen0, gen1, deltas_hz, scales, rho.reshape(k, m))
+    for i in np.flatnonzero(~(residuals <= 1e-10)):
         raise DegenerateSteadyStateError(
             f"steady-state residual {residuals[i]:.3e} at delta_r {float(deltas_hz[i])!r} Hz "
             "exceeds 1e-10"
@@ -387,8 +449,8 @@ def _steady_states(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarra
 def steady_state(config: ExperimentConfig) -> DensityMatrix:
     """Stationary state of the driven, damped system at the config's detuning.
 
-    The one-point case of _steady_states (stacked inverse, condition bound,
-    SVD on flagged points); the normalized residual is verified below 1e-10.
+    The one-point case of _steady_states (one inverse, condition bound, SVD
+    if the bound flags it); the normalized residual is verified below 1e-10.
     """
     state = DensityMatrix(_steady_states(config, np.array([config.delta_r_hz]))[0])
     state.check()
@@ -407,9 +469,13 @@ def transmission_spectrum(
 
     The absorption proxy is Im<g-|rho|e> scaled by 2 Gamma_opt / Omega_S, so
     that the two-level resonant value is unity; it needs a signal drive.
-    All steady states of the grid come from one stacked inverse, with an SVD
-    only at points whose condition bound flags them (see _steady_states),
-    and are checked as one array; an invalid state is named by its delta_r.
+    All steady states of the grid come from one inverse at the grid point
+    nearest 0 and a rank-2(n-1) Woodbury update for the others, because
+    delta_R moves only 2(n-1) diagonal entries of the generator.  The update
+    bounds each point's condition number from above, so no degenerate point
+    escapes the SVD that the bound's flagged points get (see
+    _steady_states).  The states are checked as one array; an invalid state
+    is named by its delta_r.
     """
     grid = np.asarray(delta_r_grid_hz, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

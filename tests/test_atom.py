@@ -68,6 +68,32 @@ def _with_intensities(config, i_c, i_s, **changes):
     )
 
 
+@pytest.mark.parametrize(
+    "variant", ["three_level", "four_level", "no_ground_dephasing", "control_off", "signal_off"]
+)
+def test_generator_matches_kron_oracle(config, variant):
+    # L0 + delta L1, built by index arithmetic, against the term-by-term
+    # kron assembly; a drive that is off is a drive at zero intensity
+    flags = {}
+    if variant == "four_level":
+        config = replace(config, include_second_excited=True)
+    elif variant == "no_ground_dephasing":
+        config = replace(config, level_scheme=replace(config.level_scheme, gamma_gg_rad=0.0))
+    elif variant == "control_off":
+        config, flags = _with_intensities(config, 0.0, config.signal.intensity), {"control_on": False}
+    elif variant == "signal_off":
+        config, flags = _with_intensities(config, config.control.intensity, 0.0), {"signal_on": False}
+    gen0, gen1 = atom._generator(config)
+    assert np.array_equal(atom._generator(config, **flags)[0], gen0)
+    for delta in (-37e3, 0.0, 4.5e3):
+        expected = _kron_generator(config, delta)
+        assert np.max(np.abs(gen0 + delta * gen1 - expected)) <= 1e-15 * np.max(np.abs(expected))
+    n = math.isqrt(gen0.shape[0])
+    assert np.array_equal(gen1, np.diag(np.diagonal(gen1)))
+    assert not np.any(gen1[0])
+    assert np.count_nonzero(gen1) == 2 * (n - 1)
+
+
 class TestHamiltonian:
     def test_diagonal_when_dark(self, config):
         cfg = _with_intensities(config, 0.0, 0.0)
@@ -355,17 +381,50 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError, match=r"delta_r -1000\.0 Hz .* 2 zero"):
             transmission_spectrum(dark, [-1e3, 0.0, 1e3])
 
-    def test_residual_error_names_point(self, config, monkeypatch):
-        inv = np.linalg.inv
+    @pytest.mark.parametrize("second", [False, True], ids=["three_level", "four_level"])
+    def test_default_grid_runs_no_svd(self, config, monkeypatch, second):
+        # the condition bound flags no point, so no point's zero modes are counted
+        counted = []
+        svd = np.linalg.svd
 
-        def perturbed(a):
-            x = inv(a)
+        def counting(a, **kwargs):
+            counted.append(a.shape[0])
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        cfg = replace(config, include_second_excited=second)
+        atom._steady_states(cfg, np.linspace(-60e3, 60e3, 241))
+        assert sum(counted) == 0
+
+    def test_residual_error_names_point(self, config, monkeypatch):
+        # the stacked r x r solve of the low-rank update, perturbed at the
+        # second point, which is the reference, where the update is zero
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
             x[1] += 1e-6
             return x
 
-        monkeypatch.setattr(np.linalg, "inv", perturbed)
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(DegenerateSteadyStateError, match=r"residual .* delta_r 0\.0 Hz"):
             transmission_spectrum(config, [-1e3, 0.0, 1e3])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_residual_names_point(self, config, monkeypatch):
+        # the stacked r x r solve of the low-rank update returns NaN at the
+        # second point, whose bound and residual are then NaN
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            x = solve(a, b)
+            x[1] = math.nan
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(DegenerateSteadyStateError,
+                           match=r"^steady-state residual nan at delta_r 0\.0 Hz exceeds 1e-10$"):
+            atom._steady_states(config, np.array([-1e3, 0.0, 1e3]))
 
     @pytest.mark.parametrize("second", [False, True], ids=["three_level", "four_level"])
     def test_condition_bound_misses_no_degenerate_point(self, config, second):
@@ -376,6 +435,7 @@ class TestSteadyState:
         grid = np.array([-60e3, -1e3, 0.0, 1e3, 60e3])
         scales = [10.0**-e for e in range(9)] + [0.0]
         outcomes = {"degenerate": 0, "near_degenerate_solved": 0}
+        singular_references = ill_conditioned_references_solved = 0
         for w_scale in scales:
             for i_scale in scales:
                 scheme = replace(config.level_scheme, gamma_gg_rad=0.0, clebsch_weights=tuple(
@@ -386,8 +446,28 @@ class TestSteadyState:
                     config, level_scheme=scheme, include_second_excited=second,
                     control=replace(config.control, intensity=config.control.intensity * i_scale),
                 )
-                svals = np.linalg.svd(atom._normalized_generators(cfg, grid), compute_uv=False)
+                gen0, gen1 = atom._generator(cfg)
+                gens = gen0 + grid[:, None, None] * gen1
+                gens = gens / np.max(np.abs(gens), axis=(1, 2), keepdims=True)
+                svals = np.linalg.svd(gens, compute_uv=False)
                 zero_modes = np.sum(svals < 1e-10 * svals[:, :1], axis=1)
+                # the low-rank bound of the whole grid is at least the exact
+                # ||A||_F ||A^-1||_F of every point that solves
+                try:
+                    _, bounds = atom._low_rank_solve(
+                        gen0, gen1, grid, atom._rate_scales(gen0, gen1, grid)
+                    )
+                except np.linalg.LinAlgError:
+                    singular_references += 1
+                    assert np.all(zero_modes > 1)
+                else:
+                    bordered = gens.copy()
+                    bordered[:, 0, :] = np.eye(4 if second else 3).reshape(-1)
+                    for a, bound, zm in zip(bordered, bounds, zero_modes):
+                        if zm <= 1:
+                            exact = np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a))
+                            assert bound >= exact * (1.0 - 1e-12)
+                errors, states = [], []
                 for delta, sv, zm in zip(grid, svals, zero_modes):
                     if zm > 1:
                         outcomes["degenerate"] += 1
@@ -397,12 +477,29 @@ class TestSteadyState:
                             f"steady space at delta_r {float(delta)!r} Hz is degenerate: "
                             f"{zm} zero modes (smallest normalized singular values {sv[-zm:]})"
                         )
+                        errors.append(str(excinfo.value))
                     else:
                         rho = atom._steady_states(cfg, np.array([delta]))[0]
                         assert abs(np.trace(rho) - 1.0) < 1e-12
                         if sv[-2] < 1e-8 * sv[0]:
                             outcomes["near_degenerate_solved"] += 1
+                        states.append(rho)
+                # the whole grid, solved about its point nearest 0, names the
+                # first degenerate point or gives the one-point grids' states
+                if errors:
+                    with pytest.raises(DegenerateSteadyStateError) as excinfo:
+                        atom._steady_states(cfg, grid)
+                    assert str(excinfo.value) == errors[0]
+                else:
+                    rho = atom._steady_states(cfg, grid)
+                    assert np.max(np.abs(rho - np.array(states))) < 1e-12
+                    ill_conditioned_references_solved += bool(bounds[2] >= 1e8)
         assert min(outcomes.values()) > 0, outcomes
+        # g_plus decoupled: the reference is singular because every point is degenerate
+        assert singular_references == len(scales)
+        # grids whose reference, grid[2] = 0, the bound flags, and whose
+        # every point still solves as it does alone
+        assert ill_conditioned_references_solved > 0
 
     def test_4_level_flag(self, config):
         state = steady_state(replace(config, include_second_excited=True))
@@ -455,6 +552,18 @@ class TestTransmissionSpectrum:
             ValueError,
             match=r"^invalid density matrix at delta_r 1000\.0 Hz: min eigenvalue -1\.000e-01$",
         ):
+            transmission_spectrum(config, [-1e3, 0.0, 1e3, 2e3])
+
+    def test_nan_state_names_its_point(self, config, monkeypatch):
+        original = atom._steady_states
+
+        def injected(cfg, deltas_hz):
+            states = original(cfg, deltas_hz)
+            states[2] = np.diag([math.nan, 1.0, 0.0])
+            return states
+
+        monkeypatch.setattr(atom, "_steady_states", injected)
+        with pytest.raises(ValueError, match=r"^invalid density matrix at delta_r 1000\.0 Hz: "):
             transmission_spectrum(config, [-1e3, 0.0, 1e3, 2e3])
 
     def test_symmetric_spectrum(self, config):
@@ -530,6 +639,10 @@ class TestDensityMatrix:
         m = np.diag([1.1, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(m).check()
+
+    def test_check_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"\|trace - 1\| = nan"):
+            DensityMatrix(np.diag([math.nan, 1.0, 0.0]).astype(complex)).check()
 
     def test_matrix_is_read_only(self):
         state = DensityMatrix.pure(3, 0)
