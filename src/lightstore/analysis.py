@@ -362,7 +362,7 @@ def linear_fit(x, y, sigma_y) -> LineFit:
 
     The covariance is the inverse weighted normal matrix (no chi-square
     rescaling), so the quoted errors follow directly from the supplied
-    sigma_y.
+    sigma_y.  A non-finite x, y or sigma_y is a ValueError naming it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -371,6 +371,9 @@ def linear_fit(x, y, sigma_y) -> LineFit:
         raise ValueError("x, y and sigma_y must have equal length")
     if x.size < 3:
         raise ValueError(f"need >= 3 points, got {x.size}")
+    for name, values in (("x", x), ("y", y), ("sigma_y", sigma)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} has a non-finite value")
     if np.any(sigma <= 0.0):
         raise ValueError("sigma_y must be positive")
     if np.ptp(x) == 0.0:
@@ -406,12 +409,13 @@ def linear_fit(x, y, sigma_y) -> LineFit:
 def intersection(fit_a: LineFit, fit_b: LineFit) -> tuple[float, float]:
     """Abscissa where two fitted lines cross, with propagated uncertainty.
 
-    Requires the slopes to differ by more than three times their combined
-    standard error; the two fits are treated as independent.
+    Raises IllConditionedIntersectionError unless the slopes differ by more
+    than three times their combined standard error, which a NaN never does;
+    the two fits are treated as independent.
     """
     dm = fit_a.slope - fit_b.slope
     sigma_dm = math.sqrt(fit_a.covariance[0, 0] + fit_b.covariance[0, 0])
-    if abs(dm) <= 3.0 * sigma_dm:
+    if not abs(dm) > 3.0 * sigma_dm:
         raise IllConditionedIntersectionError(
             f"slope difference {dm:.3e} within 3 sigma ({sigma_dm:.3e}) of zero"
         )
@@ -506,12 +510,12 @@ def _t_small_sample_factor(dof: int) -> float:
 class SpectroscopyResult:
     """Frequency-vs-detuning series with the two line fits and their crossing.
 
-    delta_f_ac_hz is NaN when the lines are too close to parallel.  The two
-    line fits are reported unscaled; the intersection error is quoted
-    conservatively, with each line's covariance inflated by the standard
-    scale factor max(1, chi2/dof) and a Student-t small-sample factor for
-    the combined degrees of freedom (the quoted point errors are themselves
-    estimates).
+    Lines too close to parallel have no crossing, and from_points raises
+    the IllConditionedIntersectionError of intersection.  The two line fits
+    are reported unscaled; the intersection error is quoted conservatively,
+    with each line's covariance inflated by the standard scale factor
+    max(1, chi2/dof) and a Student-t small-sample factor for the combined
+    degrees of freedom (the quoted point errors are themselves estimates).
     """
 
     points: tuple[SpectroscopyPoint, ...]
@@ -534,16 +538,12 @@ class SpectroscopyResult:
             [p.f_retrieved_hz for p in pts],
             [max(p.f_retrieved_err_hz, SIGMA_FLOOR_HZ) for p in pts],
         )
-        try:
-            x_star, x_err = intersection(_chi2_scaled(input_fit), _chi2_scaled(retrieved_fit))
-            dof = input_fit.n_points + retrieved_fit.n_points - 4
-            x_err *= _t_small_sample_factor(dof)
-        except IllConditionedIntersectionError:
-            x_star, x_err = math.nan, math.nan
+        x_star, x_err = intersection(_chi2_scaled(input_fit), _chi2_scaled(retrieved_fit))
+        dof = input_fit.n_points + retrieved_fit.n_points - 4
         return cls(
             points=pts,
             input_fit=input_fit,
             retrieved_fit=retrieved_fit,
             delta_f_ac_hz=x_star,
-            delta_f_ac_err_hz=x_err,
+            delta_f_ac_err_hz=x_err * _t_small_sample_factor(dof),
         )

@@ -65,10 +65,6 @@ class DensityMatrix:
         return cls(m, time_s)
 
     @property
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
-
-    @property
     def trace_deviation(self) -> float:
         return float(_trace_deviations(self.matrix[None])[0])
 
@@ -128,10 +124,6 @@ class SpectrumPoint:
     delta_r_hz: float
     transmission: float
     absorption_proxy: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission {self.transmission} outside [0, 1]")
 
 
 def build_hamiltonian(
@@ -474,8 +466,9 @@ def transmission_spectrum(
     delta_R moves only 2(n-1) diagonal entries of the generator.  The update
     bounds each point's condition number from above, so no degenerate point
     escapes the SVD that the bound's flagged points get (see
-    _steady_states).  The states are checked as one array; an invalid state
-    is named by its delta_r.
+    _steady_states).  The states are checked as one array, and so are the
+    transmissions, for 0 <= T <= 1 with NaN failing; an invalid state or
+    transmission is named by its delta_r.
     """
     grid = np.asarray(delta_r_grid_hz, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -494,6 +487,9 @@ def transmission_spectrum(
     _check_states(states, grid)
     proxies = 2.0 * optical_coherence_rate(config.level_scheme) * states[:, 2, 0].imag / omega_s
     transmissions = np.minimum(np.exp(-config.od_eff * proxies), 1.0)
+    for i in np.flatnonzero(~((transmissions >= 0.0) & (transmissions <= 1.0))):
+        raise ValueError(f"transmission {float(transmissions[i])} outside [0, 1] "
+                         f"at delta_r {float(grid[i])!r} Hz")
     return [SpectrumPoint(*point) for point in
             zip(grid.tolist(), transmissions.tolist(), proxies.tolist())]
 

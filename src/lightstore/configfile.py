@@ -114,8 +114,8 @@ def default_config() -> LoadedExperiment:
     """Calibrated default experiment (see module docstring for the anchors)."""
     scheme = LevelScheme()
     kappa = DEFAULT_KAPPA_RAD2
-    control = FieldConfig("control", DEFAULT_CONTROL_INTENSITY, SIGMA_MINUS, power_w=300e-6)
-    signal = FieldConfig("signal", DEFAULT_SIGNAL_INTENSITY, SIGMA_PLUS, power_w=100e-6)
+    control = FieldConfig(DEFAULT_CONTROL_INTENSITY, SIGMA_MINUS, power_w=300e-6)
+    signal = FieldConfig(DEFAULT_SIGNAL_INTENSITY, SIGMA_PLUS, power_w=100e-6)
     shift = LightShiftModel(
         couplings=(
             ShiftCoupling(
@@ -325,10 +325,10 @@ def _format(value) -> str:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, np.integer, str)):
         return str(value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):  # repr(np.float64(3.0)) is "np.float64(3.0)"
+        return repr(float(value))
     if value and isinstance(value[0], ShiftCoupling):
         return "".join(f"\n{c.detuning_rad!r} {c.cg_sq!r}" for c in value)
     return ", ".join(repr(float(v)) for v in value)

@@ -27,9 +27,6 @@ SIGMA_PLUS = "sigma_plus"
 SIGMA_MINUS = "sigma_minus"
 POLARIZATIONS = (SIGMA_PLUS, SIGMA_MINUS)
 
-ROLE_CONTROL = "control"
-ROLE_SIGNAL = "signal"
-
 
 class ConfigurationError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -114,12 +111,11 @@ class FieldConfig:
     ``unit_rabi_rad`` = sqrt(kappa * intensity) the coupling of a leg of unit
     amplitude.  Neither is an argument: the ExperimentConfig holding the
     field derives both from ``intensity``, and a field outside a config
-    reads NaN.
+    reads NaN.  The slot a field fills, control or signal, is its role.
     ``readout_intensity`` (control field only) lets the retrieval drive
     differ from the preparation drive; None means "same as intensity".
     """
 
-    role: str
     intensity: float
     polarization: str
     power_w: float = 0.0
@@ -130,21 +126,12 @@ class FieldConfig:
     unit_rabi_rad: float = field(default=math.nan, init=False)
 
     def __post_init__(self) -> None:
-        if self.role not in (ROLE_CONTROL, ROLE_SIGNAL):
-            raise ConfigurationError(f"unknown field role {self.role!r}")
         if self.polarization not in POLARIZATIONS:
             raise ConfigurationError(f"unknown polarization {self.polarization!r}")
         if not self.intensity >= 0.0:
             raise ConfigurationError("intensity must be >= 0")
         if self.readout_intensity is not None and not self.readout_intensity >= 0.0:
             raise ConfigurationError("readout_intensity must be >= 0")
-        expected = SIGMA_MINUS if self.role == ROLE_CONTROL else SIGMA_PLUS
-        if self.polarization != expected:
-            warnings.warn(
-                f"{self.role} field uses {self.polarization}; the standard "
-                f"configuration drives it with {expected}",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -344,12 +331,21 @@ class ExperimentConfig:
                 f"need > {nyquist_demand} Hz"
             )
         # Fields are shared between configs, so a field whose coupling
-        # differs is swapped for a copy rather than changed in place.
-        for name, cg in (("control", self.control_cg()), ("signal", self.signal_cg())):
+        # differs (a field new to its slot) is swapped for a copy rather than
+        # changed in place.  Only such a field is checked for the slot's
+        # polarization, so a config derived with the same fields warns once.
+        for name, cg, expected in (("control", self.control_cg(), SIGMA_MINUS),
+                                   ("signal", self.signal_cg(), SIGMA_PLUS)):
             f = getattr(self, name)
             unit = rabi_from_intensity(f.intensity, 1.0, self.kappa_rad2)
             rabi = unit * abs(cg)
             if not (f.rabi_frequency_rad == rabi and f.unit_rabi_rad == unit):
+                if f.polarization != expected:
+                    warnings.warn(
+                        f"{name} field uses {f.polarization}; the standard "
+                        f"configuration drives it with {expected}",
+                        stacklevel=3,
+                    )
                 f = copy.copy(f)
                 object.__setattr__(f, "rabi_frequency_rad", rabi)
                 object.__setattr__(f, "unit_rabi_rad", unit)

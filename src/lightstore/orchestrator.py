@@ -499,11 +499,13 @@ def _run_shift_sweep(
 
     Prepares a nested spectroscopy per grid intensity, measures each of
     them as one task of one pool, then finishes each nested study in order
-    and regresses the extracted shift against intensity.  The signal sweep
-    adds a fit restricted to I_S <= I_C.  Returns the surviving (intensity,
-    shift, sigma) triples, the line fits and the record, whose summary is
-    ``summarize(fits, xs, ys, sigmas)`` of the surviving intensities,
-    shifts and floored sigmas.
+    and regresses the extracted shift against intensity.  A nested study
+    that raises a FitError (lines too close to parallel, say) or has too few
+    usable points excludes its intensity with that error's message and has
+    no run.json.  The signal sweep adds a fit restricted to I_S <= I_C.
+    Returns the surviving (intensity, shift, sigma) triples, the line fits
+    and the record, whose summary is ``summarize(fits, xs, ys, sigmas)`` of
+    the surviving intensities, shifts and floored sigmas.
     """
     plan, t0, started = _start_run(plan)
     with_intensity = with_readout_intensity if vary == "control" else with_signal_intensity
@@ -526,8 +528,6 @@ def _run_shift_sweep(
         x = float(plan.grid[i])
         try:
             result, _ = _finish_spectroscopy(inner, t_inner, started_inner, tuple(points))
-            if math.isnan(result.delta_f_ac_hz):
-                raise OrchestrationError("intersection ill-conditioned")
             sweep_points.append(PointRecord(index=i, x=x, values=dict(zip(
                 SHIFT_KEYS, (result.delta_f_ac_hz, result.delta_f_ac_err_hz)))))
         except (FitError, OrchestrationError) as exc:

@@ -268,6 +268,16 @@ class TestLinearFit:
         with pytest.raises(ValueError, match="positive"):
             linear_fit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("name", ["x", "y", "sigma_y"])
+    def test_non_finite_input_rejected_naming_it(self, name, position, value):
+        args = {"x": [1.0, 2.0, 3.0, 4.0, 5.0], "y": [2.0, 4.1, 5.9, 8.0, 10.1],
+                "sigma_y": [1.0] * 5}
+        args[name][position] = value
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite value$"):
+            linear_fit(**args)
+
 
 def _exact_line_fit(slope, intercept):
     return LineFit(
@@ -290,6 +300,13 @@ class TestIntersection:
         b = LineFit(1.4, 3.0, 0.5, 0.1, np.diag([0.25, 0.01]), 1.0, 5)
         with pytest.raises(IllConditionedIntersectionError):
             intersection(a, b)
+
+    def test_nan_slope_or_error_rejected(self):
+        with pytest.raises(IllConditionedIntersectionError, match="^slope difference nan "):
+            intersection(_exact_line_fit(math.nan, 0.0), _exact_line_fit(0.0, 7.0))
+        noisy = LineFit(0.0, 7.0, math.nan, 0.1, np.diag([math.nan, 0.01]), 1.0, 5)
+        with pytest.raises(IllConditionedIntersectionError, match=r"\(nan\) of zero$"):
+            intersection(_exact_line_fit(1.0, 0.0), noisy)
 
     def test_error_propagation_hand_check(self):
         # sigma_x*^2 = (x*/dm)^2 (vm_a + vm_b) + (1/dm)^2 (vb_a + vb_b)
@@ -353,10 +370,9 @@ class TestSpectroscopyResult:
         assert result.input_fit.slope == pytest.approx(1.0, abs=1e-12)
         assert result.retrieved_fit.slope == pytest.approx(0.0, abs=1e-12)
 
-    def test_parallel_lines_give_nan(self):
-        result = SpectroscopyResult.from_points(self._points(7000.0, slope_ret=1.0))
-        assert math.isnan(result.delta_f_ac_hz)
-        assert math.isnan(result.delta_f_ac_err_hz)
+    def test_parallel_lines_raise(self):
+        with pytest.raises(IllConditionedIntersectionError, match="^slope difference "):
+            SpectroscopyResult.from_points(self._points(7000.0, slope_ret=1.0))
 
 
 class TestTSmallSampleFactor:

@@ -193,13 +193,13 @@ class TestEvolve:
         gamma = config.level_scheme.gamma_e_rad
         seq = PulseSequence(segments=(Segment("storage", 0.0, 1.0 / gamma, False, False),))
         states = evolve(DensityMatrix.pure(3, 2), config, seq, samples_per_segment=3)
-        assert states[-1].populations[2] == pytest.approx(math.exp(-1.0), abs=1e-6)
+        assert np.real(np.diag(states[-1].matrix))[2] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_optical_pumping_prepares_g_minus(self, config):
         seq = PulseSequence(segments=(Segment("preparation", 0.0, 150e-6, True, False),))
         rho0 = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
         states = evolve(rho0, config, seq, samples_per_segment=3)
-        assert states[-1].populations[0] > 0.99
+        assert np.real(np.diag(states[-1].matrix))[0] > 0.99
 
     def test_invariants_along_full_sequence(self, config, sequence):
         rho0 = DensityMatrix(np.diag([0.4, 0.6, 0.0]).astype(complex))
@@ -289,7 +289,7 @@ class TestSteadyState:
     def test_control_only_pumps_g_minus(self, config):
         cfg = with_signal_intensity(config, 0.0)
         state = steady_state(cfg)
-        assert state.populations[0] > 0.999
+        assert np.real(np.diag(state.matrix))[0] > 0.999
 
     def test_weak_probe_matches_analytic_susceptibility(self, config):
         # independent oracle: first-order coherence of the driven lambda
@@ -565,6 +565,12 @@ class TestTransmissionSpectrum:
         monkeypatch.setattr(atom, "_steady_states", injected)
         with pytest.raises(ValueError, match=r"^invalid density matrix at delta_r 1000\.0 Hz: "):
             transmission_spectrum(config, [-1e3, 0.0, 1e3, 2e3])
+
+    def test_nan_transmission_names_its_point(self, config, monkeypatch):
+        monkeypatch.setattr(atom, "optical_coherence_rate", lambda scheme: math.nan)
+        with pytest.raises(ValueError, match=r"^transmission nan outside \[0, 1\] "
+                           r"at delta_r -1000\.0 Hz$"):
+            transmission_spectrum(config, [-1e3, 0.0, 1e3])
 
     def test_symmetric_spectrum(self, config):
         grid = np.linspace(-30e3, 30e3, 31)

@@ -9,6 +9,7 @@ import pytest
 import lightstore
 from lightstore.cli import JOBS_ENV_VAR, main
 from lightstore.configfile import default_config, dump_config
+from lightstore.orchestrator import OrchestrationError, reanalyze_spectroscopy
 from lightstore.storage import PhotodiodeTrace, write_trace_csv
 
 
@@ -134,6 +135,32 @@ def test_numerical_failure_exits_2(tmp_path, small_config, capsys):
     code = main(["spectroscopy", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+# With the signal at angle pi/2 and no g-n coupling, frequency pulling gives
+# the retrieved beat the input beat's slope of 1 in delta_R: the lines do not cross.
+PARALLEL_LINES = ("[signal]\nangle_alpha_rad = 1.5707963267948966\n"
+                  "[experiment]\ncoupling_gn_rad = 0.0\n[study]\nrepetitions = 3\n")
+
+
+def test_parallel_lines_exit_2_and_leave_no_result(tmp_path, capsys):
+    cfg = tmp_path / "parallel.cfg"
+    cfg.write_text(PARALLEL_LINES)
+    out = tmp_path / "spectroscopy"
+    code = main(["spectroscopy", "--config", str(cfg), "--out", str(out), "--no-traces"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numerical failure: slope difference ")
+    assert (out / "plan.cfg").is_file()
+    assert not (out / "result.csv").exists() and not (out / "run.json").exists()
+    with pytest.raises(OrchestrationError, match="has no run.json"):
+        reanalyze_spectroscopy(out)
+
+    sweep = tmp_path / "sweep"
+    code = main(["control-sweep", "--config", str(cfg), "--out", str(sweep), "--no-traces"])
+    assert code == 2
+    assert "only 0 of 6 sweep points usable" in capsys.readouterr().err
+    assert (sweep / "points" / "0" / "plan.cfg").is_file()
+    assert not list(sweep.rglob("run.json")) and not list(sweep.rglob("result.csv"))
 
 
 def test_trace_parse_error_exits_3(tmp_path, capsys):

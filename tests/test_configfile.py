@@ -2,6 +2,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lightstore.configfile import (
@@ -64,6 +65,23 @@ def test_round_trip_is_fixed_point(tmp_path):
     dump_config(load_config(first), second)
     assert "[plan]\nkind = spectroscopy\nseed_base = 1\n" in first.read_text()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_numpy_scalars_dump_as_python_numbers(tmp_path):
+    loaded = default_config()
+    plain = replace(loaded, config=replace(
+        loaded.config, delta_r_hz=3.0, rng_seed=7, sample_rate_hz=2.5e7))
+    scalars = replace(loaded, config=replace(
+        loaded.config, delta_r_hz=np.float64(3.0), rng_seed=np.int64(7),
+        sample_rate_hz=np.float32(2.5e7)))
+    dump_config(plain, tmp_path / "plain.cfg")
+    dump_config(scalars, tmp_path / "scalars.cfg")
+    reloaded = load_config(tmp_path / "scalars.cfg")
+    assert reloaded.config == plain.config
+    dump_config(reloaded, tmp_path / "again.cfg")
+    text = (tmp_path / "scalars.cfg").read_bytes()
+    assert text == (tmp_path / "plain.cfg").read_bytes()
+    assert (tmp_path / "again.cfg").read_bytes() == text
 
 
 def test_unknown_section_rejected(tmp_path):

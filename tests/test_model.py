@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -77,17 +78,23 @@ class TestLevelScheme:
 class TestFieldConfig:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ConfigurationError):
-            FieldConfig(role="control", intensity=-1.0, polarization="sigma_minus")
+            FieldConfig(intensity=-1.0, polarization="sigma_minus")
         with pytest.raises(ConfigurationError):
-            FieldConfig(role="control", intensity=math.nan, polarization="sigma_minus")
+            FieldConfig(intensity=math.nan, polarization="sigma_minus")
 
-    def test_unconventional_polarization_flagged(self):
-        with pytest.warns(UserWarning, match="sigma"):
-            FieldConfig(role="control", intensity=1.0, polarization="sigma_plus")
-
-    def test_unknown_role_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FieldConfig(role="pump", intensity=1.0, polarization="sigma_plus")
+    def test_unconventional_polarization_flagged(self, config):
+        # the slot a field fills decides which polarization is standard
+        with pytest.warns(UserWarning, match="^control field uses sigma_plus; the standard "
+                          "configuration drives it with sigma_minus$"):
+            odd = replace(config, control=FieldConfig(10.5, "sigma_plus"))
+        with pytest.warns(UserWarning, match="^signal field uses sigma_minus; the standard "
+                          "configuration drives it with sigma_plus$"):
+            replace(config, signal=FieldConfig(3.5, "sigma_minus"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            FieldConfig(10.5, "sigma_plus")  # outside a config a field has no role
+            replace(odd, rng_seed=7)  # the fields are kept, so no second warning
+            replace(config, control=FieldConfig(10.5, "sigma_minus"))
 
 
 class TestLightShiftModel:
@@ -210,7 +217,7 @@ class TestDerivedCouplings:
 
     def test_rabi_frequency_is_not_an_argument(self):
         with pytest.raises(TypeError):
-            FieldConfig(role="control", intensity=1.0, polarization="sigma_minus",
+            FieldConfig(intensity=1.0, polarization="sigma_minus",
                         **{"rabi_frequency_rad": 1.0})
-        field = FieldConfig(role="control", intensity=1.0, polarization="sigma_minus")
+        field = FieldConfig(intensity=1.0, polarization="sigma_minus")
         assert math.isnan(field.rabi_frequency_rad)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lightstore import orchestrator
+from lightstore import analysis, orchestrator
+from lightstore.analysis import intersection
 from lightstore.configfile import FIT_THEN_AVERAGE, LoadedExperiment, dump_config, load_config
 from lightstore.model import ConfigurationError, LightShiftModel
 from lightstore.orchestrator import (
@@ -277,6 +278,27 @@ class TestControlSweep:
         monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", CountingPool)
         run_control_sweep(StudyPlan.from_loaded(loaded, "control_sweep", seed_base=3, jobs=2))
         assert opened == [2]
+
+    def test_ill_conditioned_point_is_excluded_with_its_message(self, noiseless, tmp_path,
+                                                               monkeypatch):
+        calls = []
+
+        def second_crosses_itself(fit_a, fit_b):
+            calls.append(fit_a)
+            return intersection(fit_a, fit_a if len(calls) == 2 else fit_b)
+
+        monkeypatch.setattr(analysis, "intersection", second_crosses_itself)
+        out = tmp_path / "sweep"
+        _, _, record = run_control_sweep(StudyPlan.from_loaded(
+            noiseless, "control_sweep", seed_base=3, out_dir=out, persist_traces=False))
+        assert [p.excluded for p in record.points] == [False, True, False, False, False, False]
+        message = "IllConditionedIntersectionError: slope difference 0.000e+00 within 3 sigma ("
+        assert record.points[1].error.startswith(message)
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert rows[2].split(",")[-2:] == ["1", record.points[1].error]
+        assert not (out / "points" / "1" / "run.json").exists()
+        assert (out / "points" / "0" / "run.json").is_file()
+        assert (out / "run.json").is_file()
 
     def test_intensity_grid_matches_points(self, noiseless):
         plan = StudyPlan.from_loaded(noiseless, "control_sweep", seed_base=3)
