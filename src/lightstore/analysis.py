@@ -45,6 +45,8 @@ RECOMMENDED_PERIODS = 10.0
 # parameters, or would lower its residual sum of squares by less than FTOL of it.
 XTOL = 1e-10
 FTOL = 1e-14
+# Each beat fit stops after this many residual evaluations.
+MAX_NFEV = 2000
 
 
 class FitError(RuntimeError):
@@ -100,7 +102,7 @@ class BeatFitResult:
             self.f_b_err_hz, self.amplitude_err, self.phase_err_rad,
             self.envelope_decay_time_err_s, self.dc_offset_err, self.dc_slope_err,
         )
-        if any(e < 0.0 for e in errs) or self.rms_residual < 0.0:
+        if not all(e >= 0.0 for e in errs) or not self.rms_residual >= 0.0:
             raise ValueError("standard errors and rms_residual must be >= 0")
         if self.converged and not self.f_b_hz > 0.0:
             raise ValueError("converged fit must report a positive beat frequency")
@@ -164,9 +166,10 @@ def _project(theta: np.ndarray, tau: np.ndarray, v: np.ndarray, with_envelope: b
             (proj @ resid[..., None])[..., 0])
 
 
-def _levenberg_marquardt(theta, tau, v, with_envelope, max_nfev):
+def _levenberg_marquardt(theta, tau, v, with_envelope):
     """Minimize each row's projected residual with its own damping, acceptance and stopping
-    test (XTOL, FTOL); returns theta, coefficients, cost, evaluations and converged per row."""
+    test (XTOL, FTOL, MAX_NFEV); returns theta, coefficients, cost, evaluations and converged
+    per row."""
     coef, cost, hess, grad = _project(theta, tau, v, with_envelope)
     k, p = theta.shape
     nfev, damping = np.ones(k, dtype=int), np.full(k, 1e-3)
@@ -178,7 +181,7 @@ def _levenberg_marquardt(theta, tau, v, with_envelope, max_nfev):
         gain = np.sum(step * grad[live], axis=-1)
         done = (np.all(np.abs(step) <= XTOL * (1.0 + np.abs(theta[live])), axis=-1)
                 | (gain <= FTOL * cost[live]))
-        stop = done | ~np.all(np.isfinite(step), axis=-1) | (nfev[live] >= max_nfev)
+        stop = done | ~np.all(np.isfinite(step), axis=-1) | (nfev[live] >= MAX_NFEV)
         converged[live[done]] = True
         running[live[stop]] = False
         go, step = live[~stop], step[~stop]
@@ -207,7 +210,7 @@ def _beat_jacobian(p: np.ndarray, t: np.ndarray, with_envelope: bool) -> np.ndar
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
-def _fit_stack(t, v, fs, span, with_envelope, f_guess, max_nfev) -> "list[BeatFitResult | FitError]":
+def _fit_stack(t, v, fs, span, with_envelope, f_guess) -> "list[BeatFitResult | FitError]":
     """Fit the rows of v, all sampled at times t (from the window start)."""
     k, n = v.shape
     tc = t - t.mean()
@@ -227,8 +230,7 @@ def _fit_stack(t, v, fs, span, with_envelope, f_guess, max_nfev) -> "list[BeatFi
     unit = n / fs
     theta = np.zeros((rows.size, 2 if with_envelope else 1))  # decay rate seed 0
     theta[:, 0] = f_seed[rows] * unit
-    theta, coef, cost, nfev, ok = _levenberg_marquardt(theta, t / unit, v[rows], with_envelope,
-                                                       max_nfev)
+    theta, coef, cost, nfev, ok = _levenberg_marquardt(theta, t / unit, v[rows], with_envelope)
     # (c0, c1, a, f, phi[, rate]) in trace units, from a sin(x + phi) = a_s sin x + a_c cos x
     p = np.column_stack([coef[:, 0], coef[:, 1] / unit, np.hypot(coef[:, 2], coef[:, 3]),
                          theta[:, 0] / unit, np.arctan2(coef[:, 3], coef[:, 2]), theta[:, 1:] / unit])
@@ -276,15 +278,15 @@ def _fit_stack(t, v, fs, span, with_envelope, f_guess, max_nfev) -> "list[BeatFi
 
 
 def fit_beats(traces: "list[PhotodiodeTrace]", window: tuple[float, float], with_envelope: bool = True,
-              f_guess: float | None = None, max_nfev: int = 2000) -> "list[BeatFitResult | FitError]":
+              f_guess: float | None = None) -> "list[BeatFitResult | FitError]":
     """Fit V(t) = c0 + c1 t + A exp(-(t-t_a)/tau) sin(2 pi f (t-t_a) + phi) to each trace.
 
     window (t_a, t_b) is in absolute trace time, must lie inside each trace
     and should hold at least ten beat periods (warns below that).
     with_envelope fits the exponential envelope (retrieved epochs); without
     it the amplitude is constant (input epochs).  f_guess, in Hz inside
-    (0, fs/2) or a ValueError, replaces the oversampled-periodogram seed;
-    max_nfev bounds the residual evaluations of each fit.
+    (0, fs/2) or a ValueError, replaces the oversampled-periodogram seed.
+    Each fit stops after MAX_NFEV residual evaluations.
 
     The model is linear in (c0, c1, A cos phi, A sin phi), so variable
     projection leaves Levenberg-Marquardt only f and the decay rate.
@@ -317,16 +319,15 @@ def fit_beats(traces: "list[PhotodiodeTrace]", window: tuple[float, float], with
     for (fs, t0, i_a, i_b), rows in stacks.items():
         t = (np.arange(i_a, i_b) / fs) + t0 - t_a
         v = np.array([traces[row].samples[i_a:i_b] for row in rows])
-        for row, fit in zip(rows, _fit_stack(t, v, fs, t_b - t_a, with_envelope, f_guess, max_nfev)):
+        for row, fit in zip(rows, _fit_stack(t, v, fs, t_b - t_a, with_envelope, f_guess)):
             results[row] = fit
     return results
 
 
 def fit_beat(trace: PhotodiodeTrace, window: tuple[float, float], f_guess: float | None = None,
-             with_envelope: bool = True, max_nfev: int = 2000) -> BeatFitResult:
+             with_envelope: bool = True) -> BeatFitResult:
     """The one-trace case of fit_beats; raises the FitError it would return."""
-    [fit] = fit_beats([trace], window, with_envelope=with_envelope, f_guess=f_guess,
-                      max_nfev=max_nfev)
+    [fit] = fit_beats([trace], window, with_envelope=with_envelope, f_guess=f_guess)
     if isinstance(fit, FitError):
         raise fit
     return fit
@@ -348,7 +349,7 @@ class LineFit:
         cov = np.array(self.covariance, dtype=float)
         if cov.shape != (2, 2):
             raise ValueError("covariance must be 2x2")
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (1.0 + abs(cov[0, 1])):
+        if not abs(cov[0, 1] - cov[1, 0]) <= 1e-12 * (1.0 + abs(cov[0, 1])):
             raise ValueError("covariance must be symmetric")
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)

@@ -13,7 +13,7 @@ amplitudes), and pure dephasing of the ground coherence at gamma_gg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def pure(cls, n: int, index: int, time_s: float = 0.0) -> "DensityMatrix":
-        m = np.zeros((n, n), dtype=complex)
-        m[index, index] = 1.0
-        return cls(m, time_s)
 
     @property
     def trace_deviation(self) -> float:
@@ -477,9 +471,6 @@ def transmission_spectrum(
         raise ValueError("detuning grid has a non-finite value")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("detuning grid must be strictly increasing")
-    # the config checks depend on delta_r only through the Nyquist margin,
-    # which grows with |delta_r|: checking the widest point checks them all
-    replace(config, delta_r_hz=float(grid[np.argmax(np.abs(grid))]))
     omega_s = config.signal.rabi_frequency_rad
     if omega_s <= 0.0:
         raise ConfigurationError("absorption proxy needs a nonzero signal drive")

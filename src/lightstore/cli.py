@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .analysis import FitError
 from .atom import DegenerateSteadyStateError
-from .configfile import default_config, load_config, write_default_config
+from .configfile import default_config, dump_config, load_config
 from .model import ConfigurationError
 from .orchestrator import (
     OrchestrationError,
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "init-config":
-            write_default_config(args.path)
+            dump_config(default_config(), args.path)
             print(f"wrote {args.path}")
             return EXIT_OK
         if args.command == "fit":

@@ -6,7 +6,8 @@ windows.  ``_FORMAT`` is the file format: it lists every section and key in
 file order with the parser of each key, and ``load_config``, ``dump_config``
 and the key checks all read it.  Unknown sections or keys are hard errors;
 omitted keys keep the calibrated defaults of ``default_config``, and
-``write_default_config`` writes those defaults out as an editable template.
+``dump_config(default_config(), path)`` writes those defaults out as an
+editable template.
 
 Grids accept either comma-separated values or "lin:start:stop:n".
 """
@@ -364,7 +365,3 @@ def dump_config(loaded: LoadedExperiment, path: "str | Path") -> None:
         parser[section] = {key: _format(value) for key, value in items.items()}
     with open(path, "w") as fh:
         parser.write(fh)
-
-
-def write_default_config(path: "str | Path") -> None:
-    dump_config(default_config(), path)

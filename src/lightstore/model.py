@@ -248,10 +248,9 @@ class PulseSequence:
         input_s: float,
         storage_s: float,
         readout_s: float,
-        t0: float = 0.0,
     ) -> "PulseSequence":
-        """Build the canonical four-phase sequence starting at t0."""
-        edges = [t0]
+        """Build the canonical four-phase sequence starting at t = 0."""
+        edges = [0.0]
         for d in (preparation_s, input_s, storage_s, readout_s):
             edges.append(edges[-1] + d)
         return cls(

@@ -256,6 +256,17 @@ def _analyze_points(points: "list[tuple[int, float, list[PhotodiodeTrace]]]", w_
     return records
 
 
+def _trace_names(study: StudyDefaults) -> list[str]:
+    """File names of one point's persisted traces, in the order they are fitted.
+
+    A point that persists one trace (the average-traces mean, or a single
+    repetition) writes trace.csv; otherwise repetition k writes trace_rep<k>.csv.
+    """
+    if study.average_mode == AVERAGE_TRACES or study.repetitions == 1:
+        return ["trace.csv"]
+    return [f"trace_rep{k}.csv" for k in range(study.repetitions)]
+
+
 def _measure_point(task: "tuple[StudyPlan, list[int]]") -> list[PointRecord]:
     """Synthesize, analyze and persist a chunk of detuning points of a spectroscopy plan.
 
@@ -290,9 +301,8 @@ def _measure_point(task: "tuple[StudyPlan, list[int]]") -> list[PointRecord]:
             if point.fits:
                 write_fits_csv(list(point.fits), point_dir / "fits.csv")
             if plan.persist_traces:
-                for k, trace in enumerate(traces):
-                    write_trace_csv(trace, point_dir / ("trace.csv" if len(traces) == 1
-                                                        else f"trace_rep{k}.csv"))
+                for name, trace in zip(_trace_names(plan.study), traces, strict=True):
+                    write_trace_csv(trace, point_dir / name)
     return records
 
 
@@ -660,36 +670,24 @@ def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
 
 def fit_only(
     trace_path: "Path | str",
+    out_dir: "Path | str",
     window: tuple[float, float] | None = None,
     f_guess: float | None = None,
     with_envelope: bool = False,
-    out_dir: "Path | str | None" = None,
-    window_id: str = "fit",
 ) -> BeatFitResult:
     """Fit an externally recorded (or exported) trace file.
 
-    The output fits.csv uses the same schema as the synthetic studies.
+    The fits.csv written to out_dir uses the same schema as the synthetic
+    studies, with window id "fit".
     """
     trace = read_trace_csv(trace_path)
     if window is None:
         window = (trace.t0_s, trace.t0_s + trace.duration_s)
     fit = fit_beat(trace, window, f_guess=f_guess, with_envelope=with_envelope)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_fits_csv([(window_id, fit)], out / "fits.csv")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_fits_csv([("fit", fit)], out / "fits.csv")
     return fit
-
-
-def _read_point_traces(point_dir: Path) -> "list[PhotodiodeTrace]":
-    """The persisted traces of one point: trace.csv, or trace_rep<k>.csv by k."""
-    single = point_dir / "trace.csv"
-    paths = [single] if single.exists() else sorted(
-        point_dir.glob("trace_rep*.csv"), key=lambda p: int(p.stem.replace("trace_rep", ""))
-    )
-    if not paths:
-        raise OrchestrationError(f"point {point_dir.name} has no trace file in {point_dir}")
-    return [read_trace_csv(path) for path in paths]
 
 
 def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
@@ -697,8 +695,10 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
 
     Every grid point goes through the routine the fresh run used, so the
     stored numbers come back exactly and an excluded point is excluded
-    again; a point without a trace file is an error, and so is a directory
-    without run.json, which a run writes only once it has finished.
+    again.  Each point's traces are read from exactly the files that
+    plan.cfg's study settings name, and other files are ignored; a missing
+    trace file is an error, and so is a directory without run.json, which a
+    run writes only once it has finished.
     """
     run_dir = Path(run_dir)
     if not (run_dir / "run.json").is_file():
@@ -708,8 +708,14 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
         raise ConfigurationError(
             f"run directory holds a {loaded.plan_kind!r} study, not spectroscopy"
         )
+    points = []
+    for i, d in enumerate(loaded.study.delta_r_grid_hz):
+        try:
+            traces = [read_trace_csv(run_dir / "points" / str(i) / name)
+                      for name in _trace_names(loaded.study)]
+        except FileNotFoundError as exc:
+            raise OrchestrationError(f"point {i} has no trace file {exc.filename}") from exc
+        points.append((i, float(d), traces))
     return _spectroscopy_result(tuple(_analyze_points(
-        [(i, float(d), _read_point_traces(run_dir / "points" / str(i)))
-         for i, d in enumerate(loaded.study.delta_r_grid_hz)],
-        *default_windows(loaded.sequence, loaded.study), loaded.study.average_mode,
+        points, *default_windows(loaded.sequence, loaded.study), loaded.study.average_mode,
     )))

@@ -47,20 +47,21 @@ class TraceParseError(ValueError):
     """Trace file does not conform to the CSV trace format."""
 
 
-def mixing_angle(g_rad: float, n_density: float, omega_c_rad: float) -> float:
+def mixing_angle(gn_rad: float, omega_c_rad: float) -> float:
     """Polariton mixing angle, tan(theta) = g sqrt(N) / Omega_C, in [0, pi/2].
 
-    theta -> 0 is fully photonic (strong control), theta = pi/2 is a pure
-    spin wave (control off).
+    gn_rad is the collective coupling g sqrt(N).  theta -> 0 is fully
+    photonic (strong control), theta = pi/2 is a pure spin wave (control
+    off); with no coupling and no drive nothing is read out, so that case is
+    pi/2 too.
     """
-    if g_rad < 0.0 or n_density < 0.0:
-        raise ValueError("coupling and density must be >= 0")
+    if gn_rad < 0.0:
+        raise ValueError("coupling must be >= 0")
     if omega_c_rad < 0.0:
         raise ValueError("control Rabi frequency must be >= 0")
-    numerator = g_rad * math.sqrt(n_density)
-    if numerator == 0.0 and omega_c_rad == 0.0:
-        raise ValueError("mixing angle undefined: g sqrt(N) and Omega_C both zero")
-    return math.atan2(numerator, omega_c_rad)
+    if gn_rad == 0.0 and omega_c_rad == 0.0:
+        return 0.5 * math.pi
+    return math.atan2(gn_rad, omega_c_rad)
 
 
 def frequency_pulling(delta_r_hz: float, alpha_rad: float, theta_rad: float) -> float:
@@ -143,13 +144,6 @@ class PhotodiodeTrace:
         return i_a, i_b
 
 
-def _readout_mixing_angle(config: ExperimentConfig) -> float:
-    omega_read = config.readout_rabi_rad()
-    if config.coupling_gn_rad == 0.0 and omega_read == 0.0:
-        return 0.5 * math.pi  # no retrieval drive: pure spin wave, nothing read out
-    return mixing_angle(config.coupling_gn_rad, 1.0, omega_read)
-
-
 def simulate_storage(config: ExperimentConfig, sequence: PulseSequence) -> PhotodiodeTrace:
     """Synthesize the photodiode record of one storage/retrieval cycle.
 
@@ -174,7 +168,7 @@ def _noise_free_record(config: ExperimentConfig, sequence: PulseSequence) -> np.
     """The noise-free samples of one cycle; read-only, since the cache shares them."""
     fs = config.sample_rate_hz
     f_in = input_beat_frequency(config)
-    theta_out = _readout_mixing_angle(config)
+    theta_out = mixing_angle(config.coupling_gn_rad, config.readout_rabi_rad())
     f_ret = retrieved_beat_frequency(
         config.magnetic,
         config.light_shift_hz(config.readout_intensity()),

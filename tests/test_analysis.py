@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lightstore import analysis
 from lightstore.analysis import (
     BeatFitResult,
     DegenerateStatisticsError,
@@ -114,10 +115,11 @@ class TestFitBeat:
         fit = fit_beat(trace, (0.0, trace.duration_s), f_guess=686e3, with_envelope=False)
         assert fit.f_b_hz == pytest.approx(685815.76, abs=50.0)
 
-    def test_non_convergence_carries_best_iterate(self):
+    def test_non_convergence_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_NFEV", 2)
         trace = synthetic_trace(685815.76, noise=0.05, seed=2)
         with pytest.raises(FitConvergenceError) as err:
-            fit_beat(trace, (0.0, trace.duration_s), with_envelope=False, max_nfev=2)
+            fit_beat(trace, (0.0, trace.duration_s), with_envelope=False)
         assert isinstance(err.value.best, BeatFitResult)
         assert not err.value.best.converged
 
@@ -143,14 +145,18 @@ class TestFitBeat:
             fit_beat(trace, (0.0, trace.duration_s), f_guess=f_guess, with_envelope=False)
 
     def test_invariant_guard_on_errors(self):
-        with pytest.raises(ValueError):
-            BeatFitResult(
-                f_b_hz=1.0, f_b_err_hz=-1.0, amplitude=1.0, amplitude_err=0.0,
-                phase_rad=0.0, phase_err_rad=0.0, envelope_decay_time_s=1.0,
-                envelope_decay_time_err_s=0.0, dc_offset=0.0, dc_offset_err=0.0,
-                dc_slope=0.0, dc_slope_err=0.0, rms_residual=0.0,
-                converged=True, n_iterations=1,
-            )
+        fields = dict(
+            f_b_hz=1.0, f_b_err_hz=0.0, amplitude=1.0, amplitude_err=0.0,
+            phase_rad=0.0, phase_err_rad=0.0, envelope_decay_time_s=1.0,
+            envelope_decay_time_err_s=0.0, dc_offset=0.0, dc_offset_err=0.0,
+            dc_slope=0.0, dc_slope_err=0.0, rms_residual=0.0,
+            converged=True, n_iterations=1,
+        )
+        BeatFitResult(**fields)
+        for name, value in (("f_b_err_hz", -1.0), ("f_b_err_hz", math.nan),
+                            ("rms_residual", math.nan)):
+            with pytest.raises(ValueError, match="^standard errors and rms_residual must be >= 0$"):
+                BeatFitResult(**{**fields, name: value})
 
 
 def _default_traces(loaded, n=9):
@@ -173,16 +179,17 @@ class TestFitBeats:
         assert all(isinstance(fit, BeatFitResult) for fit in stacked)
         assert stacked == alone  # every field, n_iterations included, bit for bit
 
-    def test_failing_rows_fail_alone_and_leave_the_others_unchanged(self):
+    def test_failing_rows_fail_alone_and_leave_the_others_unchanged(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_NFEV", 10)
         traces = [synthetic_trace(685815.76 + 500.0 * k, noise=0.05, seed=k) for k in range(7)]
         traces.insert(3, synthetic_trace(685815.76, noise=1.5, seed=3))  # below the noise floor
         # a decaying tone fitted without envelope needs far more evaluations
         traces.insert(6, synthetic_trace(685815.76, tau_s=10e-6, noise=0.05, seed=1))
-        window, max_nfev = (0.0, traces[0].duration_s), 10
-        stacked = fit_beats(traces, window, with_envelope=False, max_nfev=max_nfev)
+        window = (0.0, traces[0].duration_s)
+        stacked = fit_beats(traces, window, with_envelope=False)
         for k, (trace, fit) in enumerate(zip(traces, stacked)):
             try:
-                alone = fit_beat(trace, window, with_envelope=False, max_nfev=max_nfev)
+                alone = fit_beat(trace, window, with_envelope=False)
             except FitError as exc:
                 alone = exc
             if k == 3:
@@ -190,7 +197,7 @@ class TestFitBeats:
             elif k == 6:
                 assert isinstance(fit, FitConvergenceError)
                 assert isinstance(alone, FitConvergenceError)
-                assert fit.best == alone.best and fit.best.n_iterations == max_nfev
+                assert fit.best == alone.best and fit.best.n_iterations == 10
             else:
                 assert fit == alone
 
@@ -277,6 +284,12 @@ class TestLinearFit:
         args[name][position] = value
         with pytest.raises(ValueError, match=f"^{name} has a non-finite value$"):
             linear_fit(**args)
+
+    @pytest.mark.parametrize("off_diagonal", [(0.5, -0.5), (math.nan, math.nan)])
+    def test_asymmetric_or_nan_covariance_rejected(self, off_diagonal):
+        cov = [[1.0, off_diagonal[0]], [off_diagonal[1], 1.0]]
+        with pytest.raises(ValueError, match="^covariance must be symmetric$"):
+            LineFit(1.0, 0.0, 0.0, 0.0, cov, 0.0, 3)
 
 
 def _exact_line_fit(slope, intercept):

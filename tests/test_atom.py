@@ -184,7 +184,7 @@ class TestHamiltonian:
 class TestEvolve:
     def test_dark_ground_state_is_stationary(self, config):
         seq = PulseSequence(segments=(Segment("storage", 0.0, 2e-6, False, False),))
-        rho0 = DensityMatrix.pure(3, 0)
+        rho0 = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
         states = evolve(rho0, config, seq, samples_per_segment=5)
         for s in states:
             assert np.max(np.abs(s.matrix - rho0.matrix)) < 1e-12
@@ -192,7 +192,8 @@ class TestEvolve:
     def test_excited_state_decays_exponentially(self, config):
         gamma = config.level_scheme.gamma_e_rad
         seq = PulseSequence(segments=(Segment("storage", 0.0, 1.0 / gamma, False, False),))
-        states = evolve(DensityMatrix.pure(3, 2), config, seq, samples_per_segment=3)
+        rho0 = DensityMatrix(np.diag([0.0, 0.0, 1.0]).astype(complex))
+        states = evolve(rho0, config, seq, samples_per_segment=3)
         assert np.real(np.diag(states[-1].matrix))[2] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_optical_pumping_prepares_g_minus(self, config):
@@ -238,11 +239,13 @@ class TestEvolve:
     @pytest.mark.parametrize("samples", [0, 1])
     def test_too_few_samples_per_segment_rejected(self, config, sequence, samples):
         with pytest.raises(ValueError, match="samples_per_segment"):
-            evolve(DensityMatrix.pure(3, 0), config, sequence, samples_per_segment=samples)
+            evolve(DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex)), config, sequence,
+                   samples_per_segment=samples)
 
     def test_dimension_mismatch_rejected(self, config, sequence):
         with pytest.raises(ConfigurationError):
-            evolve(DensityMatrix.pure(4, 0), config, sequence)
+            evolve(DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)), config,
+                   sequence)
 
 
 def _step_matrices(config, sequence, samples_per_segment=25):
@@ -572,6 +575,12 @@ class TestTransmissionSpectrum:
                            r"at delta_r -1000\.0 Hz$"):
             transmission_spectrum(config, [-1e3, 0.0, 1e3])
 
+    def test_grid_wider_than_the_trace_sampling_allows(self, config):
+        # the spectrum samples no trace, so no Nyquist margin of a trace bounds its grid
+        points = transmission_spectrum(config, np.linspace(-5e6, 5e6, 11))
+        assert len(points) == 11
+        assert all(0.0 <= p.transmission <= 1.0 for p in points)
+
     def test_symmetric_spectrum(self, config):
         grid = np.linspace(-30e3, 30e3, 31)
         points = transmission_spectrum(config, grid)
@@ -651,6 +660,6 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([math.nan, 1.0, 0.0]).astype(complex)).check()
 
     def test_matrix_is_read_only(self):
-        state = DensityMatrix.pure(3, 0)
+        state = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 0.5

@@ -276,13 +276,15 @@ def test_cold_start_leaves_scipy_stats_unimported():
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import lightstore.cli\n"
         "print(scipy_modules())\n"
+        "import numpy as np\n"
         "from lightstore.atom import DensityMatrix, evolve\n"
         "from lightstore.configfile import default_config\n"
         "from lightstore.orchestrator import StudyPlan, run_dark_resonance, run_spectroscopy\n"
         "loaded = default_config()\n"
         "run_spectroscopy(StudyPlan.from_loaded(loaded, 'spectroscopy', seed_base=1))\n"
         "run_dark_resonance(StudyPlan.from_loaded(loaded, 'dark_resonance'))\n"
-        "evolve(DensityMatrix.pure(3, 0), loaded.config, loaded.sequence)\n"
+        "evolve(DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex)), loaded.config,\n"
+        "       loaded.sequence)\n"
         "print(scipy_modules())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lightstore.__file__).parents[1]))

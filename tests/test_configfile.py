@@ -10,7 +10,6 @@ from lightstore.configfile import (
     default_config,
     dump_config,
     load_config,
-    write_default_config,
 )
 from lightstore.model import ConfigurationError
 
@@ -163,7 +162,7 @@ def test_bad_average_mode_rejected(tmp_path):
 
 def test_write_default_config(tmp_path):
     path = tmp_path / "default.cfg"
-    write_default_config(path)
+    dump_config(default_config(), path)
     loaded = load_config(path)
     assert loaded.config == default_config().config
 

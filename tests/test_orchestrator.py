@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +187,28 @@ class TestRunSpectroscopy:
         (out / "points" / "4" / "trace.csv").unlink()
         with pytest.raises(OrchestrationError, match="point 4 "):
             reanalyze_spectroscopy(out)
+
+    @pytest.fixture()
+    def fit_then_average_run(self, loaded, tmp_path):
+        study = replace(loaded.study, repetitions=4, average_mode=FIT_THEN_AVERAGE)
+        out = tmp_path / "run"
+        result, _ = run_spectroscopy(StudyPlan.from_loaded(
+            replace(loaded, study=study), "spectroscopy", seed_base=5, out_dir=out))
+        return out, result
+
+    def test_reanalysis_refuses_a_missing_repetition(self, fit_then_average_run):
+        out, _ = fit_then_average_run
+        (out / "points" / "0" / "trace_rep2.csv").unlink()
+        with pytest.raises(OrchestrationError, match="^point 0 .*trace_rep2.csv"):
+            reanalyze_spectroscopy(out)
+
+    @pytest.mark.parametrize("stray", ["trace.csv", "trace_repX.csv"])
+    def test_reanalysis_ignores_files_plan_cfg_does_not_name(self, fit_then_average_run, stray):
+        out, result = fit_then_average_run
+        shutil.copy(out / "points" / "0" / "trace_rep0.csv", out / "points" / "1" / stray)
+        again = reanalyze_spectroscopy(out)
+        assert repr(again.delta_f_ac_hz) == repr(result.delta_f_ac_hz)
+        assert repr(again.delta_f_ac_err_hz) == repr(result.delta_f_ac_err_hz)
 
     def test_reanalysis_refuses_a_run_without_run_json(self, loaded, tmp_path):
         # run.json is written last: without it the run may have stopped midway
@@ -376,7 +399,7 @@ class TestFitOnly:
         v = 0.5 + 2.0 * np.sin(2 * np.pi * 685.8e3 * t + 0.2) + rng.normal(0, 0.05, n)
         path = tmp_path / "tone.csv"
         write_trace_csv(PhotodiodeTrace(0.0, fs, v), path)
-        fit = fit_only(path)
+        fit = fit_only(path, tmp_path / "out")
         assert abs(fit.f_b_hz - 685.8e3) <= 3.0 * fit.f_b_err_hz
 
     def test_truncated_file_raises_parse_error(self, tmp_path):
@@ -385,7 +408,7 @@ class TestFitOnly:
         path = tmp_path / "bad.csv"
         path.write_text("# sample_rate_hz=2e7 t0_s=0.0\n")
         with pytest.raises(TraceParseError):
-            fit_only(path)
+            fit_only(path, tmp_path / "out")
 
 
 class TestStudyPlan:

@@ -31,23 +31,20 @@ from lightstore.storage import (
 
 class TestMixingAngle:
     def test_strong_control_is_photonic(self):
-        assert mixing_angle(1e3, 1.0, 1e9) < 1e-5
+        assert mixing_angle(1e3, 1e9) < 1e-5
 
     def test_control_off_is_pure_spin_wave(self):
-        assert mixing_angle(1e6, 1.0, 0.0) == pytest.approx(math.pi / 2)
+        assert mixing_angle(1e6, 0.0) == pytest.approx(math.pi / 2)
 
     def test_balanced_mixing(self):
-        assert mixing_angle(2e6, 1.0, 2e6) == pytest.approx(math.pi / 4)
+        assert mixing_angle(2e6, 2e6) == pytest.approx(math.pi / 4)
 
-    def test_undefined_angle(self):
-        with pytest.raises(ValueError, match="undefined"):
-            mixing_angle(0.0, 1.0, 0.0)
+    def test_no_coupling_and_no_drive_is_pure_spin_wave(self):
+        assert mixing_angle(0.0, 0.0) == math.pi / 2
 
     @given(st.floats(0.0, 1e8), st.floats(0.0, 1e8))
     def test_range_and_normalization(self, gn, omega):
-        if gn == 0.0 and omega == 0.0:
-            return
-        theta = mixing_angle(gn, 1.0, omega)
+        theta = mixing_angle(gn, omega)
         assert 0.0 <= theta <= math.pi / 2
 
 

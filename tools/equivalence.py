@@ -3,8 +3,9 @@
 Runs five studies with seed base 12345 through the command line of the
 working tree and of a parent revision, at jobs 1 and 2, every run in its
 own subprocess: spectroscopy in both average modes, the control sweep, the
-signal sweep and the dark resonance.  Then it compares the two trees of run
-directories file by file.  ``run.json`` may differ only in its timing; every
+signal sweep and the dark resonance.  After them it runs ``init-config`` and
+``fit`` on a trace of the first study.  Then it compares the two trees of
+outputs file by file.  ``run.json`` may differ only in its timing; every
 other file must be byte-identical.  For a CSV file that is not, it prints the
 largest relative difference of any cell.  Exits 1 on any difference.
 It also prints the non-blank line count of ``src/lightstore`` in both trees.
@@ -42,6 +43,13 @@ STUDIES = (
     ("control-sweep", "control-sweep", None),
     ("signal-sweep", "signal-sweep", None),
     ("dark-resonance", "dark-resonance", None),
+)
+# (output directory, CLI arguments with {runs} for the runs' root), run after
+# STUDIES; the fit window is the guarded readout epoch of the default sequence
+COMMANDS = (
+    ("init-config", ("init-config", "{runs}/init-config/default.cfg")),
+    ("fit", ("fit", "{runs}/spectroscopy-average-traces/points/0/trace.csv", "--out",
+             "{runs}/fit", "--window", "8.7e-05", "1.45e-04", "--envelope")),
 )
 
 
@@ -122,17 +130,22 @@ def export_revision(rev: str, dest: Path) -> None:
 
 
 def run_studies(src: Path, out: Path, jobs: int) -> Path:
-    """Run every study of STUDIES with the package under src; returns the runs' root."""
+    """Run STUDIES, then COMMANDS, with the package under src; returns the runs' root."""
     runs = out / "runs"
     env = dict(os.environ, PYTHONPATH=str(src))
+    argvs = []
     for name, command, config_text in STUDIES:
-        argv = [sys.executable, "-m", "lightstore.cli", command, "--out", str(runs / name),
-                "--seed", str(SEED_BASE), "--jobs", str(jobs)]
+        argv = [command, "--out", str(runs / name), "--seed", str(SEED_BASE), "--jobs", str(jobs)]
         if config_text is not None:
             config = out / f"{name}.cfg"
             config.write_text(config_text)
             argv += ["--config", str(config)]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=out)
+        argvs.append((name, argv))
+    argvs += [(name, [arg.format(runs=runs) for arg in args]) for name, args in COMMANDS]
+    for name, argv in argvs:
+        (runs / name).mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "lightstore.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=out)
         if proc.returncode != 0:
             raise RuntimeError(f"{name} under {src} exited {proc.returncode}: {proc.stderr}")
     return runs
