@@ -254,23 +254,27 @@ def _fit_stack(t, v, fs, span, with_envelope, f_guess) -> "list[BeatFitResult | 
         rate, rate_err = (float(p[j, 5]), float(perr[5])) if with_envelope else (0.0, 0.0)
         tau = 1.0 / rate if rate != 0.0 else math.inf
         tau_err = (rate_err / rate**2 if rate != 0.0 else math.inf) if with_envelope else 0.0
+        errors = {
+            "f_b_err_hz": float(perr[3]), "amplitude_err": float(perr[2]),
+            "phase_err_rad": float(perr[4]), "envelope_decay_time_err_s": abs(tau_err),
+            "dc_offset_err": float(perr[0]), "dc_slope_err": float(perr[1]),
+        }
+        nan_errors = [name for name, err in errors.items() if math.isnan(err)]
+        if nan_errors:
+            results[row] = FitError(f"non-finite standard error: {', '.join(nan_errors)} = nan")
+            continue
         converged = bool(ok[j]) and f > 0.0
         fit = BeatFitResult(
             f_b_hz=f if converged else max(abs(f), 1e-300),
-            f_b_err_hz=float(perr[3]),
             amplitude=amp,
-            amplitude_err=float(perr[2]),
             phase_rad=phase,
-            phase_err_rad=float(perr[4]),
             envelope_decay_time_s=tau,
-            envelope_decay_time_err_s=abs(tau_err),
             dc_offset=c0,
-            dc_offset_err=float(perr[0]),
             dc_slope=c1,
-            dc_slope_err=float(perr[1]),
             rms_residual=math.sqrt(ssr / n),
             converged=converged,
             n_iterations=int(nfev[j]),
+            **errors,
         )
         results[row] = fit if converged else FitConvergenceError(
             f"beat fit did not converge after {nfev[j]} evaluations", best=fit)
@@ -297,7 +301,8 @@ def fit_beats(traces: "list[PhotodiodeTrace]", window: tuple[float, float], with
     Returns, per trace, its BeatFitResult (standard errors from the local
     quadratic model at the optimum) or the FitError that stopped it:
     LowSnrError below three times the noise floor, FitConvergenceError
-    carrying the best iterate, FitError for a window outside the trace.
+    carrying the best iterate, FitError for a window outside the trace or
+    a NaN standard error, which excludes only its own row.
     """
     t_a, t_b = window
     results: list = [None] * len(traces)

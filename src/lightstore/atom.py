@@ -83,19 +83,37 @@ def _hermiticity_deviations(states: np.ndarray) -> np.ndarray:
     return np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
 
 
+def _hermitian_parts(states: np.ndarray) -> np.ndarray:
+    return 0.5 * (states + states.conj().transpose(0, 2, 1))
+
+
 def _min_eigenvalues(states: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(0.5 * (states + states.conj().transpose(0, 2, 1)))[:, 0]
+    return np.linalg.eigvalsh(_hermitian_parts(states))[:, 0]
 
 
 def _check_states(states: np.ndarray, deltas_hz: "np.ndarray | None" = None) -> None:
     """Raise for the first of a (k, n, n) stack of states that violates an invariant.
 
-    The invariants are a unit trace, Hermiticity and no negative eigenvalue,
-    each within its tolerance.  With the states' Raman detunings given, the
-    message names the failing state's delta_r.
+    The invariants are a unit trace, Hermiticity and no eigenvalue of the
+    Hermitian part rho_H below -POSITIVITY_TOL, each within its tolerance.
+    With the states' Raman detunings given, the message names the failing
+    state's delta_r.
+
+    One stacked Cholesky factorization decides positivity: rho_H + tol I is
+    positive definite, and factors, exactly when lambda_min(rho_H) > -tol,
+    so the two tests disagree only within rounding of the boundary.  The
+    eigenvalues are computed only if it fails or a state fails its trace or
+    Hermiticity test (as a state with a NaN entry does, which can factor);
+    they then decide which states fail and give the value the message prints.
     """
     trace_dev = _trace_deviations(states)
     herm_dev = _hermiticity_deviations(states)
+    if np.all((trace_dev <= TRACE_TOL) & (herm_dev <= HERMITICITY_TOL)):
+        try:
+            np.linalg.cholesky(_hermitian_parts(states) + POSITIVITY_TOL * np.eye(states.shape[1]))
+            return
+        except np.linalg.LinAlgError:
+            pass
     min_eig = _min_eigenvalues(states)
     failures = (  # each written so that NaN fails it
         (~(trace_dev <= TRACE_TOL), "|trace - 1| = {:.3e}", trace_dev),
@@ -419,9 +437,9 @@ def _steady_states(config: ExperimentConfig, deltas_hz: np.ndarray) -> np.ndarra
         _raise_if_degenerate(normalized(np.arange(k)), deltas_hz)
         raise
     flagged = np.flatnonzero(~(bound < 1e8))
-    _raise_if_degenerate(normalized(flagged), deltas_hz[flagged])
-    rho = vecs.reshape(k, n, n)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    if flagged.size:
+        _raise_if_degenerate(normalized(flagged), deltas_hz[flagged])
+    rho = _hermitian_parts(vecs.reshape(k, n, n))
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     residuals = _normalized_residuals(gen0, gen1, deltas_hz, scales, rho.reshape(k, m))
     for i in np.flatnonzero(~(residuals <= 1e-10)):

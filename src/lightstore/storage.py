@@ -226,12 +226,19 @@ def _noise_free_record(config: ExperimentConfig, sequence: PulseSequence) -> np.
 _HEADER_RE = re.compile(r"^#\s*sample_rate_hz=(\S+)\s+t0_s=(\S+)\s*$")
 
 
+@functools.lru_cache(maxsize=4)
+def _time_cells(t0_s: float, sample_rate_hz: float, n_samples: int) -> tuple[str, ...]:
+    """The "t," cells of PhotodiodeTrace.times in a trace CSV, which a run's traces share."""
+    times = t0_s + np.arange(n_samples) / sample_rate_hz
+    return tuple([f"{t!r}," for t in times.tolist()])
+
+
 def write_trace_csv(trace: PhotodiodeTrace, path: "str | Path") -> None:
     """Trace CSV: one comment header with the sampling metadata, then time,signal rows."""
+    cells = _time_cells(trace.t0_s, trace.sample_rate_hz, trace.n_samples)
     with open(path, "w", newline="") as fh:
         fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} t0_s={trace.t0_s!r}\n")
-        fh.write("".join([f"{t!r},{v!r}\r\n"
-                          for t, v in zip(trace.times().tolist(), trace.samples.tolist())]))
+        fh.write("".join([f"{t}{v!r}\r\n" for t, v in zip(cells, trace.samples.tolist())]))
 
 
 def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:

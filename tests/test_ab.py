@@ -12,7 +12,8 @@ _spec = importlib.util.spec_from_file_location(
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
-METRICS = {"ops_per_s": "higher", "op_ms.p50": "lower"}
+METRICS = {"ops_per_s": {"better": "higher", "bound": 0.2},
+           "op_ms.p50": {"better": "lower", "bound": 0.2}}
 
 
 def _output(ops_per_s, p50_ms, failed=0):
@@ -41,11 +42,42 @@ def test_summary_of_canned_pairs():
     assert summary["ops_per_s"] == {
         "parent": {"median": 75.0, "q1": 70.0, "q3": 80.0},
         "child": {"median": 160.0, "q1": 150.0, "q3": 170.0},
-        "child_wins": 4, "pairs": 5,
+        "child_wins": 4, "pairs": 5, "verdict": "no change",
     }
     # lower is better; pair 5 is a tie, which the child does not win
     assert summary["op_ms.p50"]["child_wins"] == 3
     assert summary["op_ms.p50"]["parent"] == {"median": 13.0, "q1": 12.0, "q3": 14.0}
+
+
+PARENT = [100.0, 104.0, 101.0, 108.0, 103.0, 106.0, 102.0, 109.0, 105.0, 107.0]
+WIDE = [50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0]
+
+
+@pytest.mark.parametrize("parent, child, better, expected", [
+    # every pair won by 20, against a quartile spread of 4.5
+    (PARENT, [v + 20.0 for v in PARENT], "higher", "gain"),
+    # 9 of 10 pairs still make a gain; 8 of 10 do not
+    (PARENT, [v + 20.0 for v in PARENT[:9]] + [99.0], "higher", "gain"),
+    (PARENT, [v + 20.0 for v in PARENT[:8]] + [99.0, 99.0], "higher", "no change"),
+    # a gain is measured against the quartile spread, not the bound
+    (PARENT, [v + 4.0 for v in PARENT], "higher", "no change"),
+    # 30% fewer ops, or a 30% longer op, is worse than the 0.2 bound
+    (PARENT, [0.7 * v for v in PARENT], "higher", "regression"),
+    (PARENT, [1.3 * v for v in PARENT], "lower", "regression"),
+    (PARENT, [0.9 * v for v in PARENT], "higher", "no change"),
+    # a parent spread of 55 against a median of 100 cannot resolve a 0.2 bound,
+    # even when the child wins every pair ...
+    (WIDE, [v + 1.0 for v in WIDE[:9]] + [109.0], "higher", "unresolved"),
+    (WIDE, [v + 1.0 for v in WIDE], "higher", "unresolved"),
+    # ... unless every child run is better than every parent run
+    (WIDE, [151.0] * 10, "higher", "no change"),
+    (WIDE, [49.0] * 10, "lower", "no change"),
+])
+def test_verdicts_of_synthetic_runs(parent, child, better, expected):
+    runs = {side: [{"pair": i + 1, "m": v} for i, v in enumerate(values)]
+            for side, values in (("parent", parent), ("child", child))}
+    summary = ab.summarize(runs, {"m": {"better": better, "bound": 0.2}})
+    assert summary["m"]["verdict"] == expected
 
 
 def test_output_without_a_result_line_is_refused():

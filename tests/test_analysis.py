@@ -201,6 +201,21 @@ class TestFitBeats:
             else:
                 assert fit == alone
 
+    @pytest.mark.parametrize("with_envelope", [False, True])
+    def test_nan_standard_error_fails_its_row_alone(self, loaded, nan_covariance, with_envelope):
+        traces = _default_traces(loaded)
+        window = default_windows(loaded.sequence, loaded.study)[int(with_envelope)]
+        clean = fit_beats(traces, window, with_envelope=with_envelope)
+        nan_covariance(4)
+        fits = fit_beats(traces, window, with_envelope=with_envelope)
+        assert type(fits[4]) is FitError
+        assert str(fits[4]) == (
+            "non-finite standard error: f_b_err_hz, amplitude_err, phase_err_rad, "
+            + ("envelope_decay_time_err_s, " if with_envelope else "")
+            + "dc_offset_err, dc_slope_err = nan"
+        )
+        assert fits[:4] + fits[5:] == clean[:4] + clean[5:]  # bit for bit
+
     def test_windows_on_other_sample_times_fit_apart(self):
         base = synthetic_trace(685815.76, noise=0.05, seed=4)
         offset = PhotodiodeTrace(t0_s=0.3 / FS, sample_rate_hz=FS, samples=base.samples[::-1])

@@ -386,7 +386,7 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("second", [False, True], ids=["three_level", "four_level"])
     def test_default_grid_runs_no_svd(self, config, monkeypatch, second):
-        # the condition bound flags no point, so no point's zero modes are counted
+        # the condition bound flags no point, so no SVD is made at all
         counted = []
         svd = np.linalg.svd
 
@@ -397,7 +397,7 @@ class TestSteadyState:
         monkeypatch.setattr(np.linalg, "svd", counting)
         cfg = replace(config, include_second_excited=second)
         atom._steady_states(cfg, np.linspace(-60e3, 60e3, 241))
-        assert sum(counted) == 0
+        assert counted == []
 
     def test_residual_error_names_point(self, config, monkeypatch):
         # the stacked r x r solve of the low-rank update, perturbed at the
@@ -569,6 +569,16 @@ class TestTransmissionSpectrum:
         with pytest.raises(ValueError, match=r"^invalid density matrix at delta_r 1000\.0 Hz: "):
             transmission_spectrum(config, [-1e3, 0.0, 1e3, 2e3])
 
+    @pytest.mark.parametrize("second", [False, True], ids=["three_level", "four_level"])
+    def test_valid_spectrum_computes_no_eigenvalues(self, config, monkeypatch, second):
+        # the stacked Cholesky passes every state, so no eigenvalue is computed
+        def refused(a):
+            raise AssertionError("eigvalsh called on a valid spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        cfg = replace(config, include_second_excited=second)
+        assert len(transmission_spectrum(cfg, np.linspace(-60e3, 60e3, 241))) == 241
+
     def test_nan_transmission_names_its_point(self, config, monkeypatch):
         monkeypatch.setattr(atom, "optical_coherence_rate", lambda scheme: math.nan)
         with pytest.raises(ValueError, match=r"^transmission nan outside \[0, 1\] "
@@ -654,6 +664,18 @@ class TestDensityMatrix:
         m = np.diag([1.1, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(m).check()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_positivity_boundary(self, n):
+        # diag(1 + a, -a, 0...) has min eigenvalue -a: it passes just inside
+        # -POSITIVITY_TOL and fails just outside it, with the eigenvalue named
+        def state(a):
+            return DensityMatrix(np.diag([1.0 + a, -a] + [0.0] * (n - 2)).astype(complex))
+
+        state(atom.POSITIVITY_TOL * (1.0 - 1e-6)).check()
+        with pytest.raises(ValueError,
+                           match=r"^invalid density matrix: min eigenvalue -1\.000e-09$"):
+            state(atom.POSITIVITY_TOL * (1.0 + 1e-6)).check()
 
     def test_check_rejects_nan(self):
         with pytest.raises(ValueError, match=r"\|trace - 1\| = nan"):

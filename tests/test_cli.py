@@ -54,6 +54,19 @@ def test_init_config_and_spectroscopy_run(tmp_path, small_config, capsys):
     assert "delta_f_ac" in stdout
 
 
+def test_nan_standard_error_excludes_its_point_without_failing_the_run(
+    tmp_path, small_config, nan_covariance, monkeypatch
+):
+    # the first inverse of the run is point 0's input-window covariance
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    nan_covariance(0)
+    out = tmp_path / "run"
+    assert main(["spectroscopy", "--config", str(small_config),
+                 "--out", str(out), "--seed", "4"]) == 0
+    excluded = [line.split(",")[6] for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert excluded == ["1"] + ["0"] * (len(excluded) - 1)
+
+
 def test_init_config(tmp_path):
     target = tmp_path / "default.cfg"
     assert main(["init-config", str(target)]) == 0

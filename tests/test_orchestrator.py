@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shutil
@@ -98,6 +99,25 @@ class TestRunSpectroscopy:
         assert len(result.points) == 4
         rows = (out / "summary.csv").read_text().splitlines()
         assert rows[1].split(",")[6] == "1"  # excluded flag in the summary
+
+    def test_nan_standard_error_excludes_only_its_point(self, loaded, tmp_path, nan_covariance):
+        # at jobs=1 the grid's input windows are one stack, fitted first, so
+        # the third inverse is point 2's
+        summaries = {}
+        for name in ("clean", "nan"):
+            if name == "nan":
+                nan_covariance(2)
+            out = tmp_path / name
+            run_spectroscopy(StudyPlan.from_loaded(loaded, "spectroscopy", seed_base=5, out_dir=out))
+            with open(out / "summary.csv", newline="") as fh:
+                summaries[name] = list(csv.reader(fh))
+        clean, nan = summaries["clean"], summaries["nan"]
+        assert [row for row in nan if row not in clean] == [
+            ["2", clean[3][1], "", "", "", "", "1",
+             "FitError: non-finite standard error: f_b_err_hz, amplitude_err, phase_err_rad, "
+             "dc_offset_err, dc_slope_err = nan"]
+        ]
+        assert len(nan) == len(clean)
 
     def test_wrong_kind_rejected(self, loaded):
         plan = StudyPlan.from_loaded(loaded, "control_sweep", seed_base=1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lightstore
+from lightstore import storage
 from lightstore.model import (
     ConfigurationError,
     LightShiftModel,
@@ -209,6 +210,22 @@ class TestTraceCsv:
         assert np.array_equal(back.samples, trace.samples)
         assert back.sample_rate_hz == trace.sample_rate_hz
         assert back.t0_s == trace.t0_s
+
+    def test_bytes_match_row_by_row_format(self, tmp_path):
+        # the cached time cells give the bytes of formatting each row whole,
+        # when t0 or the sample rate changes and again after a cache hit
+        rng = np.random.default_rng(3)
+        storage._time_cells.cache_clear()
+        for t0, fs in ((0.0, 5e6), (-1.25e-5, 5e6), (0.0, 3.3e6), (0.0, 5e6)):
+            trace = PhotodiodeTrace(t0, fs, rng.normal(1.0, 0.3, 2900))
+            path = tmp_path / "trace.csv"
+            write_trace_csv(trace, path)
+            rows = zip(trace.times().tolist(), trace.samples.tolist())
+            expected = f"# sample_rate_hz={fs!r} t0_s={t0!r}\n" + "".join(
+                f"{t!r},{v!r}\r\n" for t, v in rows
+            )
+            assert path.read_bytes() == expected.encode()
+        assert storage._time_cells.cache_info().hits == 1
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -6,8 +6,8 @@ numbered from 1, the parent first in odd pairs and the child first in even
 ones, pair p with seed ``--seed`` + p - 1.  Each tree runs its own benchmark
 on its own source, for the run length that BENCHMARK.json fixes.  Writes
 a BENCH_*.json: per workload and end-to-end metric of BENCHMARK.json, each
-side's median and quartiles and the number of pairs the child won, followed
-by every run's values.
+side's median and quartiles, the number of pairs the child won and the
+verdict (see ``verdict``), followed by every run's values.
 
     python tools/ab.py --parent <rev> --workload master-equation --pairs 10 \\
         --seed 101 --out BENCH_change.json --change "what changed"
@@ -50,23 +50,51 @@ def run_record(pair: int, result: dict) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def summarize(runs: dict, metrics: "dict[str, str]") -> dict:
-    """Per metric, each side's median and quartiles and the pairs the child won.
+def verdict(entry: dict, values: dict, sign: float, bound: float) -> str:
+    """What one metric's summary entry shows, judged by the metric's bound.
+
+    ``values`` maps each side to its runs' values, and ``sign`` is 1 when
+    higher is better and -1 when lower is.  "gain": the child won at least
+    0.9 of the pairs and its median is better than the parent's by more than
+    the parent's interquartile range.  "regression": the child's median is
+    worse than the parent's by more than bound times the parent's median.
+    "unresolved": the parent's interquartile range is wider than bound times
+    its median, and not every child run is better than every parent run.
+    "no change": none of these.
+    """
+    parent = entry["parent"]
+    improvement = sign * (entry["child"]["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    if entry["child_wins"] >= 0.9 * entry["pairs"] and improvement > spread:
+        return "gain"
+    if -improvement > bound * abs(parent["median"]):
+        return "regression"
+    every_run_better = (min(sign * v for v in values["child"])
+                        > max(sign * v for v in values["parent"]))
+    if spread > bound * abs(parent["median"]) and not every_run_better:
+        return "unresolved"
+    return "no change"
+
+
+def summarize(runs: dict, metrics: "dict[str, dict]") -> dict:
+    """Per metric, each side's median and quartiles, the pairs the child won and the verdict.
 
     ``runs`` maps "parent" and "child" to run records in pair order, and
-    ``metrics`` maps a metric name to "lower" or "higher", the better
-    direction.  Quartiles are the inclusive ones of ``statistics.quantiles``.
+    ``metrics`` maps a metric name to its BENCHMARK.json entry, of which
+    "better" ("lower" or "higher") and "bound" are read.  Quartiles are the
+    inclusive ones of ``statistics.quantiles``.
     """
     summary = {}
-    for name, better in metrics.items():
+    for name, metric in metrics.items():
+        sign = 1.0 if metric["better"] == "higher" else -1.0
         values = {side: [r[name] for r in runs[side]] for side in SIDES}
         entry = {}
         for side in SIDES:
             q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             entry[side] = {"median": median, "q1": q1, "q3": q3}
-        wins = sum((c < p) if better == "lower" else (c > p)
-                   for p, c in zip(values["parent"], values["child"]))
-        summary[name] = {**entry, "child_wins": wins, "pairs": len(values["child"])}
+        wins = sum(sign * c > sign * p for p, c in zip(values["parent"], values["child"]))
+        entry.update(child_wins=wins, pairs=len(values["child"]))
+        summary[name] = {**entry, "verdict": verdict(entry, values, sign, float(metric["bound"]))}
     return summary
 
 
@@ -95,7 +123,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 2 (for quartiles) and --seed >= 0")
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = float(benchmark["run_seconds"])
-    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     report = {
         "what": f"perfbench/run.py --trace 0 --seconds {seconds:g} (BENCHMARK.json run_seconds), "
                 f"{args.pairs} alternating parent/child pairs per workload (odd pairs parent "
