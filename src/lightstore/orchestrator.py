@@ -6,10 +6,11 @@ signal-intensity sweep) plus stand-alone fitting of trace files.  Every run
 writes the same layout: a plan.cfg snapshot that reloads to the exact
 configuration, per-point traces and fit tables, a summary.csv, a result.csv
 of scalar outcomes, two-column plotdata files and a run.json of metadata,
-written last as the mark of a finished run.  This module writes every
-table of a run directory; the task that measures a chunk of detuning
-points, in the parent or in a pool worker, writes those points'
-directories, and the parent writes the run-level files.
+written last as the mark of a finished run.  Every study runs between
+``_start_run`` (kind check, earlier run.json removed) and ``_finish_run``.
+This module writes every table of a run directory; the task that measures
+a chunk of detuning points, in the parent or in a pool worker, writes
+those points' directories, and the parent writes the run-level files.
 Identical seeds yield byte-identical files, apart from run.json's timing,
 whether points are evaluated serially or in a process pool.
 """
@@ -171,16 +172,10 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Everything a finished study persisted, plus in-memory results."""
+    """A finished study's grid points and its (key, value) summary, as result.csv holds it."""
 
-    kind: str
-    seed_base: int
-    out_dir: Path | None
     points: tuple[PointRecord, ...]
     summary: tuple[tuple[str, float], ...]
-    version: str
-    started_at: str
-    elapsed_s: float
 
 
 def default_windows(
@@ -380,15 +375,19 @@ def _line_endpoints(fit: LineFit, xs) -> tuple[list, list]:
     return [lo, hi], [float(fit.predict(lo)), float(fit.predict(hi))]
 
 
-def _start_run(plan: StudyPlan) -> tuple[StudyPlan, float, str]:
-    """Persist the plan snapshot and canonicalize the plan through it.
+def _start_run(plan: StudyPlan, kind: str) -> tuple[StudyPlan, float, str]:
+    """Check the plan's kind, then persist its snapshot and canonicalize the plan through it.
 
     Running from the reloaded snapshot makes re-analysis of the persisted
     run bit-identical to the original: both paths see exactly the values
-    plan.cfg encodes (the config file round trip is a fixed point).
+    plan.cfg encodes (the config file round trip is a fixed point).  An
+    earlier run.json goes first, so a failed rerun does not look finished.
     """
+    if plan.kind != kind:
+        raise ConfigurationError(f"plan kind {plan.kind!r} is not {kind}")
     if plan.out_dir is not None:
         plan.out_dir.mkdir(parents=True, exist_ok=True)
+        (plan.out_dir / "run.json").unlink(missing_ok=True)
         (plan.out_dir / "plotdata").mkdir(exist_ok=True)
         dump_config(plan.loaded(), plan.out_dir / "plan.cfg")
         reloaded = load_config(plan.out_dir / "plan.cfg")
@@ -405,49 +404,39 @@ def _finish_run(
     t_start: float,
     started_at: str,
 ) -> RunRecord:
-    """Write result.csv, then run.json last, and return the run's record."""
-    record = RunRecord(
-        kind=plan.kind,
-        seed_base=plan.seed_base,
-        out_dir=plan.out_dir,
-        points=points,
-        summary=summary,
-        version=__version__,
-        started_at=started_at,
-        elapsed_s=time.monotonic() - t_start,
-    )
+    """Write result.csv, then run.json last from the plan and the clock; return the record."""
     if plan.out_dir is not None:
         _write_rows_csv(plan.out_dir / "result.csv", ["key", "value"],
                         [[k, _fmt(v)] for k, v in summary])
         meta = {
-            "kind": record.kind,
-            "version": record.version,
-            "seed_base": record.seed_base,
-            "started_at": record.started_at,
-            "elapsed_s": record.elapsed_s,
-            "n_points": len(record.points),
-            "n_excluded": sum(p.excluded for p in record.points),
+            "kind": plan.kind,
+            "version": __version__,
+            "seed_base": plan.seed_base,
+            "started_at": started_at,
+            "elapsed_s": time.monotonic() - t_start,
+            "n_points": len(plan.grid),
+            "n_excluded": sum(p.excluded for p in points),
         }
         with open(plan.out_dir / "run.json", "w") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")
-    return record
+    return RunRecord(points=points, summary=summary)
 
 
 # -- studies -----------------------------------------------------------------
 
 
 def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str]:
-    """Check the grid and start the run."""
-    grid = plan.study.delta_r_grid_hz
+    """Start the run, then check its grid against the transparency window."""
+    run = _start_run(plan, "spectroscopy")
     window_est = _eit_window_estimate_hz(plan.config)
-    if max(abs(d) for d in grid) > window_est:
+    if max(abs(d) for d in plan.study.delta_r_grid_hz) > window_est:
         warnings.warn(
             f"detuning grid extends past the estimated transparency window "
             f"({window_est:.0f} Hz)",
             stacklevel=3,
         )
-    return _start_run(plan)
+    return run
 
 
 def _finish_spectroscopy(
@@ -493,8 +482,6 @@ def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
     jobs=1 the grid is one task, so all its windows of a kind are fitted
     in one stack; a pool takes one point per task.
     """
-    if plan.kind != "spectroscopy":
-        raise ConfigurationError(f"plan kind {plan.kind!r} is not spectroscopy")
     plan, t0, started = _prepare_spectroscopy(plan)
     indices = list(range(len(plan.grid)))
     chunks = _map_points(plan, [(plan, indices)] if plan.jobs == 1
@@ -503,9 +490,9 @@ def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
 
 
 def _run_shift_sweep(
-    plan: StudyPlan, vary: str, summarize
+    plan: StudyPlan, kind: str, summarize
 ) -> tuple[list[tuple[float, float, float]], dict[str, LineFit], RunRecord]:
-    """Shared driver for the control/signal intensity sweeps.
+    """Shared driver for the control/signal intensity sweeps, of the given plan kind.
 
     Prepares a nested spectroscopy per grid intensity, measures each of
     them as one task of one pool, then finishes each nested study in order
@@ -517,18 +504,13 @@ def _run_shift_sweep(
     and the record, whose summary is ``summarize(fits, xs, ys, sigmas)`` of
     the surviving intensities, shifts and floored sigmas.
     """
-    plan, t0, started = _start_run(plan)
-    with_intensity = with_readout_intensity if vary == "control" else with_signal_intensity
+    plan, t0, started = _start_run(plan, kind)
+    with_intensity = with_readout_intensity if kind == "control_sweep" else with_signal_intensity
     nested = [
-        _prepare_spectroscopy(StudyPlan(
-            kind="spectroscopy",
-            config=with_intensity(plan.config, float(intensity)),
-            sequence=plan.sequence,
-            study=plan.study,
+        _prepare_spectroscopy(replace(
+            plan, kind="spectroscopy", config=with_intensity(plan.config, float(intensity)),
             seed_base=point_seed(plan.seed_base, i),
             out_dir=None if plan.out_dir is None else plan.out_dir / "points" / str(i),
-            jobs=plan.jobs,
-            persist_traces=plan.persist_traces,
         ))
         for i, intensity in enumerate(plan.grid)
     ]
@@ -554,7 +536,7 @@ def _run_shift_sweep(
     sigmas = np.array([max(t[2], SIGMA_FLOOR_HZ) for t in triples])
     fits = {"full": linear_fit(xs, ys, sigmas)}
     keep = xs <= plan.config.control.intensity
-    if vary == "signal" and int(np.sum(keep)) >= 3:
+    if kind == "signal_sweep" and int(np.sum(keep)) >= 3:
         fits["restricted"] = linear_fit(xs[keep], ys[keep], sigmas[keep])
 
     if plan.out_dir is not None:
@@ -581,8 +563,6 @@ def _weighted_r_squared(fit: LineFit, xs, ys, sigmas) -> float:
 
 def run_control_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]], LineFit, RunRecord]:
     """Extract the shift for each retrieval intensity and fit its linearity."""
-    if plan.kind != "control_sweep":
-        raise ConfigurationError(f"plan kind {plan.kind!r} is not control_sweep")
 
     def summarize(fits, xs, ys, sigmas):
         fit = fits["full"]
@@ -601,7 +581,7 @@ def run_control_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]]
             ("model_slope_hz_per_intensity", plan.config.light_shift_hz(1.0)),
         )
 
-    triples, fits, record = _run_shift_sweep(plan, "control", summarize)
+    triples, fits, record = _run_shift_sweep(plan, "control_sweep", summarize)
     return triples, fits["full"], record
 
 
@@ -611,8 +591,6 @@ def run_signal_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]],
     The restricted fit covers I_S <= I_C (the preparation control
     intensity), mirroring the regime where the weak-signal picture holds.
     """
-    if plan.kind != "signal_sweep":
-        raise ConfigurationError(f"plan kind {plan.kind!r} is not signal_sweep")
 
     def summarize(fits, xs, ys, sigmas):
         full = fits["full"]
@@ -634,14 +612,12 @@ def run_signal_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]],
             ]
         return tuple(summary)
 
-    return _run_shift_sweep(plan, "signal", summarize)
+    return _run_shift_sweep(plan, "signal_sweep", summarize)
 
 
 def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
     """Steady-state transmission spectrum over the configured detuning grid."""
-    if plan.kind != "dark_resonance":
-        raise ConfigurationError(f"plan kind {plan.kind!r} is not dark_resonance")
-    plan, t0, started = _start_run(plan)
+    plan, t0, started = _start_run(plan, "dark_resonance")
     points = transmission_spectrum(plan.config, np.array(plan.study.dark_resonance_grid_hz))
     transmissions = [p.transmission for p in points]
     i_peak = int(np.argmax(transmissions))

@@ -246,9 +246,9 @@ def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:
 
     The signal cells, everything after each row's first comma, are parsed in
     one pass.  That pass fails exactly when a row has no comma, more than one
-    comma or a bad signal value, or is blank; the rows are then read one by
-    one, which skips blank rows and names the first bad line.  The time
-    column is never parsed.
+    comma or a bad or non-finite signal value, or is blank; the rows are then
+    read one by one, which skips blank rows and names the first bad line.
+    The time column is never parsed.
     """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -269,6 +269,8 @@ def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:
         values = np.array(
             list(map(itemgetter(2), map(str.partition, lines[1:], repeat(",")))), dtype=float
         )
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite signal value")
     except ValueError:
         values = np.array(_read_rows(lines))
     if not values.size:
@@ -292,4 +294,6 @@ def _read_rows(lines: list[str]) -> list[float]:
             values.append(float(parts[1]))
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: bad signal value: {exc}") from exc
+        if not math.isfinite(values[-1]):
+            raise TraceParseError(f"line {lineno}: non-finite signal value {parts[1]!r}")
     return values

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,21 +90,70 @@ def test_output_without_a_result_line_is_refused():
 
 
 
-def test_failed_run_still_writes_the_runs_made(monkeypatch, tmp_path):
+@pytest.fixture()
+def git_repo(monkeypatch, tmp_path):
+    """A repository of two commits holding BENCHMARK.json, made ab.REPO; returns the SHAs."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_bytes((ab.REPO / "BENCHMARK.json").read_bytes())
+    git = ["git", "-C", str(repo), "-c", "user.name=ab", "-c", "user.email=ab@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "BENCHMARK.json"], check=True)
+    commits = []
+    for message in ("first", "second"):
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", message], check=True)
+        commits.append(subprocess.run([*git, "rev-parse", "HEAD"], check=True,
+                                      capture_output=True, text=True).stdout.strip())
+    monkeypatch.setattr(ab, "REPO", repo)
+    return commits
+
+
+def _fake_runs(monkeypatch, fail_on=None):
+    """Replace the export and the benchmark runs; returns the exported revisions and the runs."""
     benchmark = json.loads((ab.REPO / "BENCHMARK.json").read_text())
-    calls = []
+    exported, calls = [], []
 
     def fake_run(root, workload, seed, seconds):
         calls.append((workload, seed, seconds))
-        if len(calls) == 4:
+        if len(calls) == fail_on:
             raise RuntimeError(f"{workload} exited 1")
         result, detail = ab.parse_result(_output(70.0 + len(calls), 14.0))
         for m in benchmark["end_to_end"]:
             result["metrics"].setdefault(m["name"], {"value": 1.0, "unit": m["unit"]})
         return result, detail
 
-    monkeypatch.setattr(ab, "export_revision", lambda rev, dest: None)
+    monkeypatch.setattr(ab, "export_revision", lambda rev, dest: exported.append(rev))
     monkeypatch.setattr(ab, "run_benchmark", fake_run)
+    return exported, calls
+
+
+def test_parent_is_recorded_as_the_commit_it_resolves_to(monkeypatch, tmp_path, git_repo):
+    exported, calls = _fake_runs(monkeypatch)
+    out = tmp_path / "BENCH_parent.json"
+    assert ab.main(["--parent", "HEAD~1", "--workload", "master-equation", "--pairs", "2",
+                    "--out", str(out)]) == 0
+    assert exported == [git_repo[0]]
+    assert len(calls) == 4
+    assert json.loads(out.read_text())["parent"] == git_repo[0]
+
+
+@pytest.mark.parametrize("rev", ["no-such-revision", "HEAD~2", "HEAD:BENCHMARK.json"])
+def test_a_parent_that_names_no_commit_ends_before_any_run(monkeypatch, tmp_path, capsys,
+                                                           git_repo, rev):
+    exported, calls = _fake_runs(monkeypatch)
+    out = tmp_path / "BENCH_parent.json"
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["--parent", rev, "--workload", "master-equation", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--parent {rev!r} names no commit" in capsys.readouterr().err
+    assert (exported, calls) == ([], [])
+    assert not out.exists()
+
+
+def test_failed_run_still_writes_the_runs_made(monkeypatch, tmp_path, git_repo):
+    benchmark = json.loads((ab.REPO / "BENCHMARK.json").read_text())
+    _, calls = _fake_runs(monkeypatch, fail_on=4)
     out = tmp_path / "BENCH_partial.json"
     status = ab.main(["--parent", "HEAD", "--workload", "master-equation",
                       "--pairs", "3", "--seed", "7", "--out", str(out)])

@@ -300,6 +300,18 @@ class TestLinearFit:
         with pytest.raises(ValueError, match=f"^{name} has a non-finite value$"):
             linear_fit(**args)
 
+    @settings(max_examples=60)
+    @given(st.integers(3, 12), st.data())
+    def test_nan_at_any_position_names_its_argument(self, n, data):
+        finite = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+        args = {"x": data.draw(finite, label="x"), "y": data.draw(finite, label="y"),
+                "sigma_y": data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+                                     label="sigma_y")}
+        name = data.draw(st.sampled_from(sorted(args)), label="argument")
+        args[name][data.draw(st.integers(0, n - 1), label="position")] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite value$"):
+            linear_fit(**args)
+
     @pytest.mark.parametrize("off_diagonal", [(0.5, -0.5), (math.nan, math.nan)])
     def test_asymmetric_or_nan_covariance_rejected(self, off_diagonal):
         cov = [[1.0, off_diagonal[0]], [off_diagonal[1], 1.0]]

@@ -176,6 +176,23 @@ def test_parallel_lines_exit_2_and_leave_no_result(tmp_path, capsys):
     assert not list(sweep.rglob("run.json")) and not list(sweep.rglob("result.csv"))
 
 
+@pytest.mark.parametrize("command, extra", [("spectroscopy", []),
+                                            ("control-sweep", ["--no-traces"])])
+def test_failed_rerun_leaves_no_run_json(tmp_path, capsys, command, extra):
+    # a rerun removes the finished run's run.json before it writes plan.cfg,
+    # so a used directory does not look finished after the rerun fails
+    cfg = tmp_path / "parallel.cfg"
+    cfg.write_text(PARALLEL_LINES)
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out), "--jobs", "1", *extra]) == 0
+    assert (out / "run.json").is_file()
+    assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", "1", *extra]) == 2
+    assert not list(out.rglob("run.json"))
+    if command == "spectroscopy":
+        with pytest.raises(OrchestrationError, match="has no run.json"):
+            reanalyze_spectroscopy(out)
+
+
 def test_trace_parse_error_exits_3(tmp_path, capsys):
     bad = tmp_path / "trace.csv"
     bad.write_text("no header here\n")

@@ -1,18 +1,23 @@
 import csv
+import dataclasses
 import json
 import re
 import shutil
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lightstore
 from lightstore import analysis, orchestrator
 from lightstore.analysis import intersection
 from lightstore.configfile import FIT_THEN_AVERAGE, LoadedExperiment, dump_config, load_config
 from lightstore.model import ConfigurationError, LightShiftModel
 from lightstore.orchestrator import (
+    STUDY_KINDS,
     OrchestrationError,
+    RunRecord,
     StudyPlan,
     fit_only,
     point_seed,
@@ -118,11 +123,6 @@ class TestRunSpectroscopy:
              "dc_offset_err, dc_slope_err = nan"]
         ]
         assert len(nan) == len(clean)
-
-    def test_wrong_kind_rejected(self, loaded):
-        plan = StudyPlan.from_loaded(loaded, "control_sweep", seed_base=1)
-        with pytest.raises(ConfigurationError):
-            run_spectroscopy(plan)
 
     def test_grid_outside_window_warns(self, loaded):
         study = replace(loaded.study, delta_r_grid_hz=(-80e3, 0.0, 80e3))
@@ -429,6 +429,40 @@ class TestFitOnly:
         path.write_text("# sample_rate_hz=2e7 t0_s=0.0\n")
         with pytest.raises(TraceParseError):
             fit_only(path, tmp_path / "out")
+
+
+RUNS = {"spectroscopy": run_spectroscopy, "control_sweep": run_control_sweep,
+        "signal_sweep": run_signal_sweep, "dark_resonance": run_dark_resonance}
+
+
+class TestRunLifecycle:
+    def test_run_record_holds_points_and_summary(self):
+        assert [f.name for f in dataclasses.fields(RunRecord)] == ["points", "summary"]
+
+    @pytest.mark.parametrize("kind, other", [(kind, other) for kind in STUDY_KINDS
+                                             for other in STUDY_KINDS if other != kind])
+    def test_wrong_kind_warns_nothing_and_writes_nothing(self, loaded, tmp_path, kind, other):
+        # a grid past the transparency window, which a spectroscopy would warn about
+        wide = replace(loaded, study=replace(loaded.study, delta_r_grid_hz=(-80e3, 0.0, 80e3)))
+        out = tmp_path / "run"
+        plan = StudyPlan.from_loaded(wide, other, seed_base=1, out_dir=out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError) as exc:
+                RUNS[kind](plan)
+        assert str(exc.value) == f"plan kind {other!r} is not {kind}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", STUDY_KINDS)
+    def test_run_json_counts_the_grid(self, noiseless, tmp_path, kind):
+        small = replace(noiseless, study=replace(noiseless.study, repetitions=1))
+        out = tmp_path / "run"
+        plan = StudyPlan.from_loaded(small, kind, seed_base=4, out_dir=out, persist_traces=False)
+        RUNS[kind](plan)
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["n_points"] == len(plan.grid) > 0
+        assert (meta["kind"], meta["seed_base"], meta["n_excluded"]) == (kind, 4, 0)
+        assert meta["version"] == lightstore.__version__
 
 
 class TestStudyPlan:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import lightstore
 from lightstore import storage
@@ -272,6 +272,35 @@ class TestTraceCsv:
         with pytest.raises(TraceParseError) as exc:
             read_trace_csv(path)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_names_its_line(self, tmp_path, value, row, blank):
+        rows = [f"{k * 2e-7!r},1.0" for k in range(5)]
+        rows[row] = f"{row * 2e-7!r},{value}"
+        if blank:
+            rows.insert(row, "")
+        path = tmp_path / "t.csv"
+        path.write_text("# sample_rate_hz=5000000.0 t0_s=0.0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"line {row + 2 + blank}: non-finite signal value {value!r}"
+
+    @settings(max_examples=60)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40), st.data())
+    def test_non_finite_sample_at_any_row_names_its_line(self, tmp_path_factory, samples, data):
+        row = data.draw(st.integers(0, len(samples) - 1), label="row")
+        value = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]), label="value")
+        blank = data.draw(st.booleans(), label="blank row before it")
+        rows = [f"{k * 2e-7!r},{v!r}" for k, v in enumerate(samples)]
+        rows[row] = f"{row * 2e-7!r},{value}"
+        if blank:
+            rows.insert(row, "")
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        path.write_text("# sample_rate_hz=5000000.0 t0_s=0.0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TraceParseError, match=f"^line {row + 2 + blank}: non-finite "):
+            read_trace_csv(path)
 
     def test_non_finite_samples_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -1,6 +1,8 @@
 """Time the working tree against a parent revision in alternating benchmark runs.
 
-Exports the parent the way tools/equivalence.py does, then runs
+Resolves ``--parent`` to one commit, whose SHA the report records, and
+exports it the way tools/equivalence.py does; a revision that names no
+commit ends the tool before any run.  Then it runs
 ``perfbench/run.py --trace 0`` of each tree on every workload in pairs
 numbered from 1, the parent first in odd pairs and the child first in even
 ones, pair p with seed ``--seed`` + p - 1.  Each tree runs its own benchmark
@@ -98,6 +100,13 @@ def summarize(runs: dict, metrics: "dict[str, dict]") -> dict:
     return summary
 
 
+def resolve_commit(rev: str) -> str:
+    """The SHA of the commit that rev names; CalledProcessError if it names none."""
+    return subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", "--quiet",
+                           f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """Run one untraced benchmark of the tree at root; returns its result line and detail."""
     proc = subprocess.run(
@@ -121,6 +130,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.seed < 0:
         parser.error("--pairs must be >= 2 (for quartiles) and --seed >= 0")
+    try:
+        parent = resolve_commit(args.parent)
+    except subprocess.CalledProcessError:
+        parser.error(f"--parent {args.parent!r} names no commit")
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = float(benchmark["run_seconds"])
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
@@ -129,14 +142,14 @@ def main(argv=None) -> int:
                 f"{args.pairs} alternating parent/child pairs per workload (odd pairs parent "
                 f"first, even pairs child first), seed = {args.seed} + pair - 1",
         "change": args.change,
-        "parent": args.parent,
+        "parent": parent,
         "environment": {},
         "workloads": {},
     }
     status = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {"parent": Path(tmp) / "parent", "child": REPO}
-        export_revision(args.parent, roots["parent"])
+        export_revision(parent, roots["parent"])
         try:
             for workload in args.workload:
                 runs = {side: [] for side in SIDES}
