@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = subs.add_parser("fit", help="fit a beat note in a stored trace file")
     fit.add_argument("--out", type=Path, required=True, help="output directory for the fit")
-    fit.add_argument("trace", type=Path, help="trace CSV file")
+    fit.add_argument("trace", type=Path,
+                     help="trace file: a .csv, or a .npz as a run directory holds")
     fit.add_argument("--window", type=float, nargs=2, metavar=("T_A", "T_B"),
                      default=None, help="fit window in seconds (default: whole trace)")
     fit.add_argument("--f-guess", type=float, default=None,

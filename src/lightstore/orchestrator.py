@@ -4,10 +4,13 @@ Runs the four canonical studies (dark resonance spectrum, beat-frequency
 spectroscopy over a Raman-detuning grid, retrieval-intensity sweep, input
 signal-intensity sweep) plus stand-alone fitting of trace files.  Every run
 writes the same layout: a plan.cfg snapshot that reloads to the exact
-configuration, per-point traces and fit tables, a summary.csv, a result.csv
-of scalar outcomes, two-column plotdata files and a run.json of metadata,
+configuration, per-point traces (binary .npz files, see
+``storage.write_trace_csv``) and fit tables, a summary.csv, a result.csv of
+scalar outcomes, two-column plotdata files and a run.json of metadata,
 written last as the mark of a finished run.  Every study runs between
-``_start_run`` (kind check, earlier run.json removed) and ``_finish_run``.
+``_start_run`` (kind check, then removal of what an earlier run wrote
+there, RUN_OUTPUTS and points/<i>) and ``_finish_run``; any other file in
+the directory is left alone.
 This module writes every table of a run directory; the task that measures
 a chunk of detuning points, in the parent or in a pool worker, writes
 those points' directories, and the parent writes the run-level files.
@@ -20,6 +23,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import shutil
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -77,6 +82,13 @@ STUDY_KINDS = ("dark_resonance", "spectroscopy", "control_sweep", "signal_sweep"
 # Value keys of a detuning point and of a sweep point, in summary.csv order.
 POINT_KEYS = ("f_input_hz", "f_input_err_hz", "f_retrieved_hz", "f_retrieved_err_hz")
 SHIFT_KEYS = ("delta_f_ac_hz", "delta_f_ac_err_hz")
+# What a run writes in its directory besides plan.cfg, and POINTS/<i>/ per
+# grid point; the writers take these names from here, and _start_run removes
+# an earlier run's first.
+RUN_JSON, RESULT_CSV, SUMMARY_CSV, PLOTDATA = RUN_OUTPUTS = (
+    "run.json", "result.csv", "summary.csv", "plotdata")
+POINTS = "points"
+_POINT_NAME = re.compile(r"0|[1-9][0-9]*")
 
 
 class OrchestrationError(RuntimeError):
@@ -255,11 +267,16 @@ def _trace_names(study: StudyDefaults) -> list[str]:
     """File names of one point's persisted traces, in the order they are fitted.
 
     A point that persists one trace (the average-traces mean, or a single
-    repetition) writes trace.csv; otherwise repetition k writes trace_rep<k>.csv.
+    repetition) writes trace.npz; otherwise repetition k writes trace_rep<k>.npz.
     """
     if study.average_mode == AVERAGE_TRACES or study.repetitions == 1:
-        return ["trace.csv"]
-    return [f"trace_rep{k}.csv" for k in range(study.repetitions)]
+        return ["trace.npz"]
+    return [f"trace_rep{k}.npz" for k in range(study.repetitions)]
+
+
+def _point_dir(out_dir: Path, index: int) -> Path:
+    """POINTS/<index>/ of a run directory: one detuning point, or a sweep's nested study."""
+    return out_dir / POINTS / str(index)
 
 
 def _measure_point(task: "tuple[StudyPlan, list[int]]") -> list[PointRecord]:
@@ -291,7 +308,7 @@ def _measure_point(task: "tuple[StudyPlan, list[int]]") -> list[PointRecord]:
                               plan.study.average_mode)
     if plan.out_dir is not None:
         for (index, _, traces), point in zip(points, records):
-            point_dir = plan.out_dir / "points" / str(index)
+            point_dir = _point_dir(plan.out_dir, index)
             point_dir.mkdir(parents=True, exist_ok=True)
             if point.fits:
                 write_fits_csv(list(point.fits), point_dir / "fits.csv")
@@ -375,20 +392,32 @@ def _line_endpoints(fit: LineFit, xs) -> tuple[list, list]:
     return [lo, hi], [float(fit.predict(lo)), float(fit.predict(hi))]
 
 
+def _remove_earlier_run(out_dir: Path) -> None:
+    """Remove RUN_OUTPUTS and every POINTS/<integer>/ from out_dir; other files stay."""
+    points = [p for p in (out_dir / POINTS).glob("*")
+              if _POINT_NAME.fullmatch(p.name) and p.is_dir()]
+    for path in [out_dir / name for name in RUN_OUTPUTS] + points:
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
+
+
 def _start_run(plan: StudyPlan, kind: str) -> tuple[StudyPlan, float, str]:
     """Check the plan's kind, then persist its snapshot and canonicalize the plan through it.
 
     Running from the reloaded snapshot makes re-analysis of the persisted
     run bit-identical to the original: both paths see exactly the values
-    plan.cfg encodes (the config file round trip is a fixed point).  An
-    earlier run.json goes first, so a failed rerun does not look finished.
+    plan.cfg encodes (the config file round trip is a fixed point).  What an
+    earlier run wrote there goes first, run.json before the rest, so a failed
+    rerun neither looks finished nor leaves that run's results behind.
     """
     if plan.kind != kind:
         raise ConfigurationError(f"plan kind {plan.kind!r} is not {kind}")
     if plan.out_dir is not None:
         plan.out_dir.mkdir(parents=True, exist_ok=True)
-        (plan.out_dir / "run.json").unlink(missing_ok=True)
-        (plan.out_dir / "plotdata").mkdir(exist_ok=True)
+        _remove_earlier_run(plan.out_dir)
+        (plan.out_dir / PLOTDATA).mkdir()
         dump_config(plan.loaded(), plan.out_dir / "plan.cfg")
         reloaded = load_config(plan.out_dir / "plan.cfg")
         plan = replace(
@@ -406,7 +435,7 @@ def _finish_run(
 ) -> RunRecord:
     """Write result.csv, then run.json last from the plan and the clock; return the record."""
     if plan.out_dir is not None:
-        _write_rows_csv(plan.out_dir / "result.csv", ["key", "value"],
+        _write_rows_csv(plan.out_dir / RESULT_CSV, ["key", "value"],
                         [[k, _fmt(v)] for k, v in summary])
         meta = {
             "kind": plan.kind,
@@ -417,7 +446,7 @@ def _finish_run(
             "n_points": len(plan.grid),
             "n_excluded": sum(p.excluded for p in points),
         }
-        with open(plan.out_dir / "run.json", "w") as fh:
+        with open(plan.out_dir / RUN_JSON, "w") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")
     return RunRecord(points=points, summary=summary)
@@ -460,15 +489,15 @@ def _finish_spectroscopy(
     )
 
     if plan.out_dir is not None:
-        _write_summary_csv(plan.out_dir / "summary.csv", points, "delta_r_hz", POINT_KEYS)
+        _write_summary_csv(plan.out_dir / SUMMARY_CSV, points, "delta_r_hz", POINT_KEYS)
         xs = [p.delta_r_hz for p in result.points]
-        _write_plot_xy(plan.out_dir / "plotdata" / "input_points.csv",
+        _write_plot_xy(plan.out_dir / PLOTDATA / "input_points.csv",
                        xs, [p.f_input_hz for p in result.points])
-        _write_plot_xy(plan.out_dir / "plotdata" / "retrieved_points.csv",
+        _write_plot_xy(plan.out_dir / PLOTDATA / "retrieved_points.csv",
                        xs, [p.f_retrieved_hz for p in result.points])
-        _write_plot_xy(plan.out_dir / "plotdata" / "input_line.csv",
+        _write_plot_xy(plan.out_dir / PLOTDATA / "input_line.csv",
                        *_line_endpoints(result.input_fit, xs))
-        _write_plot_xy(plan.out_dir / "plotdata" / "retrieved_line.csv",
+        _write_plot_xy(plan.out_dir / PLOTDATA / "retrieved_line.csv",
                        *_line_endpoints(result.retrieved_fit, xs))
 
     return result, _finish_run(plan, points, summary, t0, started)
@@ -510,7 +539,7 @@ def _run_shift_sweep(
         _prepare_spectroscopy(replace(
             plan, kind="spectroscopy", config=with_intensity(plan.config, float(intensity)),
             seed_base=point_seed(plan.seed_base, i),
-            out_dir=None if plan.out_dir is None else plan.out_dir / "points" / str(i),
+            out_dir=None if plan.out_dir is None else _point_dir(plan.out_dir, i),
         ))
         for i, intensity in enumerate(plan.grid)
     ]
@@ -540,13 +569,13 @@ def _run_shift_sweep(
         fits["restricted"] = linear_fit(xs[keep], ys[keep], sigmas[keep])
 
     if plan.out_dir is not None:
-        _write_summary_csv(plan.out_dir / "summary.csv", tuple(sweep_points),
+        _write_summary_csv(plan.out_dir / SUMMARY_CSV, tuple(sweep_points),
                            "intensity", SHIFT_KEYS)
-        _write_plot_xy(plan.out_dir / "plotdata" / "shift_points.csv", xs, ys)
-        _write_plot_xy(plan.out_dir / "plotdata" / "shift_line.csv",
+        _write_plot_xy(plan.out_dir / PLOTDATA / "shift_points.csv", xs, ys)
+        _write_plot_xy(plan.out_dir / PLOTDATA / "shift_line.csv",
                        *_line_endpoints(fits["full"], xs))
         if "restricted" in fits:
-            _write_plot_xy(plan.out_dir / "plotdata" / "shift_line_restricted.csv",
+            _write_plot_xy(plan.out_dir / PLOTDATA / "shift_line_restricted.csv",
                            *_line_endpoints(fits["restricted"], xs[keep]))
 
     record = _finish_run(plan, tuple(sweep_points), summarize(fits, xs, ys, sigmas), t0, started)
@@ -632,13 +661,13 @@ def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
         ("background_transmission", float(min(transmissions))),
     )
     if plan.out_dir is not None:
-        _write_rows_csv(plan.out_dir / "summary.csv",
+        _write_rows_csv(plan.out_dir / SUMMARY_CSV,
                         ["delta_r_hz", "transmission", "absorption_proxy"],
                         [[_fmt(p.delta_r_hz), _fmt(p.transmission), _fmt(p.absorption_proxy)]
                          for p in points])
         xs = [p.delta_r_hz for p in points]
-        _write_plot_xy(plan.out_dir / "plotdata" / "transmission.csv", xs, transmissions)
-        _write_plot_xy(plan.out_dir / "plotdata" / "absorption_proxy.csv",
+        _write_plot_xy(plan.out_dir / PLOTDATA / "transmission.csv", xs, transmissions)
+        _write_plot_xy(plan.out_dir / PLOTDATA / "absorption_proxy.csv",
                        xs, [p.absorption_proxy for p in points])
     record = _finish_run(plan, (), summary, t0, started)
     return points, record
@@ -651,7 +680,7 @@ def fit_only(
     f_guess: float | None = None,
     with_envelope: bool = False,
 ) -> BeatFitResult:
-    """Fit an externally recorded (or exported) trace file.
+    """Fit an externally recorded (or exported) trace file, a .csv or a run's .npz.
 
     The fits.csv written to out_dir uses the same schema as the synthetic
     studies, with window id "fit".
@@ -677,7 +706,7 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
     run writes only once it has finished.
     """
     run_dir = Path(run_dir)
-    if not (run_dir / "run.json").is_file():
+    if not (run_dir / RUN_JSON).is_file():
         raise OrchestrationError(f"{run_dir} has no run.json: the run did not finish")
     loaded = load_config(run_dir / "plan.cfg")
     if loaded.plan_kind != "spectroscopy":
@@ -687,7 +716,7 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
     points = []
     for i, d in enumerate(loaded.study.delta_r_grid_hz):
         try:
-            traces = [read_trace_csv(run_dir / "points" / str(i) / name)
+            traces = [read_trace_csv(_point_dir(run_dir, i) / name)
                       for name in _trace_names(loaded.study)]
         except FileNotFoundError as exc:
             raise OrchestrationError(f"point {i} has no trace file {exc.filename}") from exc

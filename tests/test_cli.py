@@ -10,7 +10,7 @@ import lightstore
 from lightstore.cli import JOBS_ENV_VAR, main
 from lightstore.configfile import default_config, dump_config
 from lightstore.orchestrator import OrchestrationError, reanalyze_spectroscopy
-from lightstore.storage import PhotodiodeTrace, write_trace_csv
+from lightstore.storage import PhotodiodeTrace, read_trace_csv, write_trace_csv
 
 
 @pytest.fixture()
@@ -193,6 +193,26 @@ def test_failed_rerun_leaves_no_run_json(tmp_path, capsys, command, extra):
             reanalyze_spectroscopy(out)
 
 
+def test_failed_sweep_rerun_leaves_none_of_the_earlier_run(tmp_path, capsys):
+    # a shorter grid fails the rerun; the earlier run's top-level results and
+    # its nested studies beyond the new grid are gone, an unrelated file stays
+    out = tmp_path / "sw"
+    assert main(["control-sweep", "--out", str(out), "--no-traces", "--jobs", "1"]) == 0
+    assert (out / "points" / "5" / "run.json").is_file()
+    (out / "notes.txt").write_text("mine\n")
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("[study]\ncontrol_intensity_grid = 1.0, 2.0\n")
+    code = main(["control-sweep", "--config", str(cfg), "--out", str(out), "--no-traces",
+                 "--jobs", "1"])
+    assert code == 2
+    assert "only 2 of 2 sweep points usable" in capsys.readouterr().err
+    assert sorted(p.name for p in (out / "points").iterdir()) == ["0", "1"]
+    for name in ("run.json", "result.csv", "summary.csv"):
+        assert not (out / name).exists(), name
+    assert not list((out / "plotdata").iterdir())
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
 def test_trace_parse_error_exits_3(tmp_path, capsys):
     bad = tmp_path / "trace.csv"
     bad.write_text("no header here\n")
@@ -231,6 +251,35 @@ def test_non_finite_file_value_is_rejected_naming_it(tmp_path, capsys, name, tex
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"\x89PNG\r\n", "trace parse error: line 1: not UTF-8 text: byte 0x89 at offset 0\n"),
+    (b"# sample_rate_hz=2e7 t0_s=0.0\r\n0.0,1.0\r\n5e-08,\xff\r\n",
+     "trace parse error: line 3: not UTF-8 text: byte 0xff at offset 46\n"),
+])
+def test_fit_of_a_file_that_is_not_utf8_is_a_trace_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text)
+    assert main(["fit", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_reads_a_run_trace_as_its_csv(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["spectroscopy", "--out", str(out), "--jobs", "1"]) == 0
+    npz = out / "points" / "0" / "trace.npz"
+    csv_path = tmp_path / "trace.csv"
+    write_trace_csv(read_trace_csv(npz), csv_path)
+    window = ["--window", "8.7e-05", "1.45e-04", "--envelope"]
+    printed = []
+    for name, path in (("npz", npz), ("csv", csv_path)):
+        capsys.readouterr()
+        assert main(["fit", str(path), "--out", str(tmp_path / name), *window]) == 0
+        printed.append(capsys.readouterr().out.replace(str(tmp_path / name), "<out>"))
+    assert printed[0] == printed[1]
+    assert (tmp_path / "npz" / "fits.csv").read_bytes() == (tmp_path / "csv" / "fits.csv").read_bytes()
+
+
 def test_fit_subcommand(tmp_path, capsys):
     fs = 2.0e7
     n = 1200
@@ -263,7 +312,8 @@ def test_no_traces_flag(tmp_path, small_config):
     code = main(["spectroscopy", "--config", str(small_config),
                  "--out", str(out), "--no-traces"])
     assert code == 0
-    assert not list(out.glob("points/*/trace*.csv"))
+    assert not list(out.glob("points/*/trace*"))
+    assert (out / "points" / "0" / "fits.csv").is_file()
 
 
 def test_jobs_env_var_used_when_flag_absent(tmp_path, small_config, monkeypatch):
@@ -343,7 +393,7 @@ def test_commands_run_with_scipy_unimportable(tmp_path, small_config):
         "config, out = sys.argv[1], Path(sys.argv[2])\n"
         "codes = [main(['spectroscopy', '--config', config, '--out', str(out / 'spec')]),\n"
         "         main(['dark-resonance', '--config', config, '--out', str(out / 'dark')])]\n"
-        "trace = sorted((out / 'spec').rglob('trace*.csv'))[0]\n"
+        "trace = sorted((out / 'spec').rglob('trace*.npz'))[0]\n"
         "codes.append(main(['fit', str(trace), '--out', str(out / 'fit')]))\n"
         "print(codes)\n"
     )

@@ -10,6 +10,7 @@ import pytest
 
 from lightstore.configfile import default_config
 from lightstore.orchestrator import StudyPlan, run_spectroscopy
+from lightstore.storage import read_trace_csv, write_trace_csv
 
 _spec = importlib.util.spec_from_file_location(
     "equivalence", Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
@@ -51,12 +52,76 @@ def test_a_changed_cell_and_a_missing_file_are_reported(two_runs):
     cells[1] = repr(float(cells[1]) * (1.0 + 1e-6))
     lines[1] = ",".join(cells) + "\r\n"
     summary.write_text("".join(lines))
-    (b / "points" / "0" / "trace.csv").unlink()
+    (b / "points" / "0" / "trace.npz").unlink()
     result = equivalence.compare_trees(a, b)
     assert not result.equal
     assert list(result.differing) == ["summary.csv"]
     assert result.differing["summary.csv"] == pytest.approx(1e-6, rel=1e-3)
-    assert result.unmatched == ["points/0/trace.csv"]
+    assert result.unmatched == ["points/0/trace.npz"]
+
+
+def _as_csv_traces(run_dir):
+    """Rewrite a run's .npz traces as the CSV traces an older tree wrote."""
+    for path in run_dir.glob("points/*/trace*.npz"):
+        write_trace_csv(read_trace_csv(path), path.with_suffix(".csv"))
+        path.unlink()
+
+
+def test_csv_traces_pair_with_npz_traces_by_content(two_runs):
+    a, b = two_runs
+    _as_csv_traces(a)
+    result = equivalence.compare_trees(a, b)
+    assert result.equal
+    assert "points/0/trace.{csv,npz}" in result.identical
+    assert len(result.identical) == len(list(b.rglob("*.*")))
+
+
+def _change_one_sample(path):
+    trace = read_trace_csv(path)
+    samples = trace.samples.copy()
+    samples[100] *= 1.0 + 1e-9
+    write_trace_csv(replace(trace, samples=samples), path)
+
+
+def test_a_changed_sample_of_a_trace_pair_is_reported(two_runs):
+    a, b = two_runs
+    _as_csv_traces(a)
+    _change_one_sample(b / "points" / "3" / "trace.npz")
+    (a / "points" / "4" / "trace.csv").rename(a / "points" / "4" / "trace_rep0.csv")
+    result = equivalence.compare_trees(a, b)
+    assert list(result.differing) == ["points/3/trace.{csv,npz}"]
+    assert result.differing["points/3/trace.{csv,npz}"] == pytest.approx(1e-9, rel=1e-3)
+    assert result.unmatched == ["points/4/trace.npz", "points/4/trace_rep0.csv"]
+
+
+def test_a_changed_sample_between_npz_traces_is_reported(two_runs):
+    a, b = two_runs
+    _change_one_sample(b / "points" / "3" / "trace.npz")
+    result = equivalence.compare_trees(a, b)
+    assert list(result.differing) == ["points/3/trace.npz"]
+    assert result.differing["points/3/trace.npz"] == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_trace_values_read_both_formats_bit_equal(two_runs):
+    a, _ = two_runs
+    npz = a / "points" / "0" / "trace.npz"
+    trace = read_trace_csv(npz)
+    write_trace_csv(trace, a / "trace.csv")
+    for path in (npz, a / "trace.csv"):
+        values = equivalence.trace_values(path)
+        assert values[:2].tolist() == [trace.sample_rate_hz, trace.t0_s]
+        assert values[2:].tobytes() == trace.samples.tobytes()
+
+
+def test_the_fit_command_takes_the_trace_its_tree_wrote(tmp_path):
+    [fit_args] = [args for name, args in equivalence.COMMANDS if name == "fit"]
+    pattern = fit_args[1].format(runs=tmp_path)
+    point = tmp_path / "spectroscopy-average-traces" / "points" / "0"
+    point.mkdir(parents=True)
+    for name in ("trace.npz", "trace.csv"):
+        (point / name).write_text("")
+        assert equivalence._one_match(pattern) == str(point / name)
+        (point / name).unlink()
 
 
 def test_cells_that_do_not_line_up_differ_infinitely():

@@ -5,6 +5,7 @@ import re
 import shutil
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ import pytest
 import lightstore
 from lightstore import analysis, orchestrator
 from lightstore.analysis import intersection
-from lightstore.configfile import FIT_THEN_AVERAGE, LoadedExperiment, dump_config, load_config
+from lightstore.configfile import (
+    AVERAGE_TRACES,
+    FIT_THEN_AVERAGE,
+    LoadedExperiment,
+    dump_config,
+    load_config,
+)
 from lightstore.model import ConfigurationError, LightShiftModel
 from lightstore.orchestrator import (
     STUDY_KINDS,
@@ -141,7 +148,7 @@ class TestRunSpectroscopy:
             assert (out / name).is_file(), name
         n_points = len(loaded.study.delta_r_grid_hz)
         for i in range(n_points):
-            assert (out / "points" / str(i) / "trace.csv").is_file()
+            assert (out / "points" / str(i) / "trace.npz").is_file()
             assert (out / "points" / str(i) / "fits.csv").is_file()
 
     def test_no_traces_flag(self, loaded, tmp_path):
@@ -150,7 +157,7 @@ class TestRunSpectroscopy:
             loaded, "spectroscopy", seed_base=3, out_dir=out, persist_traces=False
         )
         run_spectroscopy(plan)
-        assert not list(out.glob("points/*/trace*.csv"))
+        assert not list(out.glob("points/*/trace*"))
         assert (out / "points" / "0" / "fits.csv").is_file()
 
     def test_reanalysis_reproduces_summary_exactly(self, loaded, tmp_path):
@@ -169,19 +176,19 @@ class TestRunSpectroscopy:
         out = tmp_path / "run"
         plan = StudyPlan.from_loaded(varied, "spectroscopy", seed_base=11, out_dir=out)
         result, _ = run_spectroscopy(plan)
-        assert (out / "points" / "0" / "trace_rep0.csv").is_file()
+        assert (out / "points" / "0" / "trace_rep0.npz").is_file()
         again = reanalyze_spectroscopy(out)
         assert again.delta_f_ac_hz == result.delta_f_ac_hz
 
     def test_reanalysis_fit_then_average_single_repetition(self, loaded, tmp_path):
-        # the one trace is persisted as trace.csv; re-analysis must still take
+        # the one trace is persisted as trace.npz; re-analysis must still take
         # the one-element weighted mean the fresh run took
         study = replace(loaded.study, repetitions=1, average_mode=FIT_THEN_AVERAGE)
         varied = LoadedExperiment(config=loaded.config, sequence=loaded.sequence, study=study)
         out = tmp_path / "run"
         plan = StudyPlan.from_loaded(varied, "spectroscopy", seed_base=0, out_dir=out)
         result, _ = run_spectroscopy(plan)
-        assert (out / "points" / "0" / "trace.csv").is_file()
+        assert (out / "points" / "0" / "trace.npz").is_file()
         again = reanalyze_spectroscopy(out)
         assert repr(again.delta_f_ac_hz) == repr(result.delta_f_ac_hz)
         assert repr(again.delta_f_ac_err_hz) == repr(result.delta_f_ac_err_hz)
@@ -195,7 +202,7 @@ class TestRunSpectroscopy:
                                      seed_base=2, out_dir=out)
         with pytest.warns(UserWarning, match="window"):
             result, _ = run_spectroscopy(plan)
-        assert (out / "points" / "0" / "trace.csv").is_file()
+        assert (out / "points" / "0" / "trace.npz").is_file()
         assert not (out / "points" / "0" / "fits.csv").exists()
         again = reanalyze_spectroscopy(out)
         assert again.points == result.points
@@ -204,8 +211,8 @@ class TestRunSpectroscopy:
     def test_reanalysis_refuses_a_missing_trace(self, loaded, tmp_path):
         out = tmp_path / "run"
         run_spectroscopy(StudyPlan.from_loaded(loaded, "spectroscopy", seed_base=3, out_dir=out))
-        (out / "points" / "4" / "trace.csv").unlink()
-        with pytest.raises(OrchestrationError, match="point 4 "):
+        (out / "points" / "4" / "trace.npz").unlink()
+        with pytest.raises(OrchestrationError, match="^point 4 has no trace file .*trace.npz$"):
             reanalyze_spectroscopy(out)
 
     @pytest.fixture()
@@ -218,14 +225,15 @@ class TestRunSpectroscopy:
 
     def test_reanalysis_refuses_a_missing_repetition(self, fit_then_average_run):
         out, _ = fit_then_average_run
-        (out / "points" / "0" / "trace_rep2.csv").unlink()
-        with pytest.raises(OrchestrationError, match="^point 0 .*trace_rep2.csv"):
+        (out / "points" / "0" / "trace_rep2.npz").unlink()
+        with pytest.raises(OrchestrationError, match="^point 0 .*trace_rep2.npz"):
             reanalyze_spectroscopy(out)
 
-    @pytest.mark.parametrize("stray", ["trace.csv", "trace_repX.csv"])
+    @pytest.mark.parametrize("stray", ["trace.csv", "trace_repX.csv", "trace.npz",
+                                       "trace_repX.npz"])
     def test_reanalysis_ignores_files_plan_cfg_does_not_name(self, fit_then_average_run, stray):
         out, result = fit_then_average_run
-        shutil.copy(out / "points" / "0" / "trace_rep0.csv", out / "points" / "1" / stray)
+        shutil.copy(out / "points" / "0" / "trace_rep0.npz", out / "points" / "1" / stray)
         again = reanalyze_spectroscopy(out)
         assert repr(again.delta_f_ac_hz) == repr(result.delta_f_ac_hz)
         assert repr(again.delta_f_ac_err_hz) == repr(result.delta_f_ac_err_hz)
@@ -261,6 +269,25 @@ class TestRunSpectroscopy:
         for name in ("summary.csv", "result.csv"):
             assert (out_s / name).read_bytes() == (out_p / name).read_bytes()
 
+    @pytest.mark.parametrize("average_mode", [AVERAGE_TRACES, FIT_THEN_AVERAGE])
+    def test_serial_pool_and_rerun_write_the_same_trace_files(self, loaded, tmp_path,
+                                                              average_mode):
+        study = replace(loaded.study, repetitions=2, average_mode=average_mode)
+        varied = replace(loaded, study=study)
+        serial, pool = tmp_path / "serial", tmp_path / "pool"
+        traces = {}
+        for name, out, jobs in (("serial", serial, 1), ("pool", pool, 2), ("rerun", serial, 1)):
+            run_spectroscopy(StudyPlan.from_loaded(
+                varied, "spectroscopy", seed_base=6, out_dir=out, jobs=jobs))
+            traces[name] = {p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.glob("points/*/*")) if p.name.startswith("trace")}
+        names = orchestrator._trace_names(study)
+        assert sorted(traces["serial"]) == sorted(
+            Path("points", str(i), name)
+            for i in range(len(study.delta_r_grid_hz)) for name in names)
+        assert all(name.endswith(".npz") for name in names)
+        assert traces["serial"] == traces["pool"] == traces["rerun"]
+
     def test_each_repetition_is_simulate_storage_at_its_seed(self, loaded, tmp_path):
         study = replace(loaded.study, repetitions=3, average_mode=FIT_THEN_AVERAGE,
                         delta_r_grid_hz=(-5e3, 0.0, 5e3))
@@ -270,9 +297,9 @@ class TestRunSpectroscopy:
         for i, delta_r in enumerate(study.delta_r_grid_hz):
             for rep in range(3):
                 cfg = replace(loaded.config, delta_r_hz=delta_r, rng_seed=point_seed(4, i, rep))
-                write_trace_csv(simulate_storage(cfg, loaded.sequence), tmp_path / "direct.csv")
-                persisted = out / "points" / str(i) / f"trace_rep{rep}.csv"
-                assert persisted.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+                write_trace_csv(simulate_storage(cfg, loaded.sequence), tmp_path / "direct.npz")
+                persisted = out / "points" / str(i) / f"trace_rep{rep}.npz"
+                assert persisted.read_bytes() == (tmp_path / "direct.npz").read_bytes()
 
     def test_fit_then_average_agrees_with_averaging(self, loaded):
         study = replace(loaded.study, average_mode=FIT_THEN_AVERAGE)
@@ -463,6 +490,27 @@ class TestRunLifecycle:
         assert meta["n_points"] == len(plan.grid) > 0
         assert (meta["kind"], meta["seed_base"], meta["n_excluded"]) == (kind, 4, 0)
         assert meta["version"] == lightstore.__version__
+
+
+    def test_rerun_removes_what_the_earlier_run_wrote_and_nothing_else(self, loaded, tmp_path):
+        # an earlier run's outputs go, including a trace.csv of the former
+        # trace format and a point directory the new grid does not name
+        out = tmp_path / "run"
+        stale = ["result.csv", "summary.csv", "run.json", "plotdata/old_line.csv",
+                 "points/0/trace.csv", "points/0/fits.csv", "points/12/trace.csv"]
+        kept = ["notes.txt", "plotdata.txt", "points/notes.txt", "points/x/trace.csv",
+                "points/007/trace.csv"]
+        for rel in stale + kept:
+            (out / rel).parent.mkdir(parents=True, exist_ok=True)
+            (out / rel).write_text("earlier\n")
+        run_spectroscopy(StudyPlan.from_loaded(loaded, "spectroscopy", seed_base=3, out_dir=out))
+        for rel in kept:
+            assert (out / rel).read_text() == "earlier\n", rel
+        assert not (out / "points" / "12").exists()
+        assert not (out / "points" / "0" / "trace.csv").exists()
+        assert not (out / "plotdata" / "old_line.csv").exists()
+        for rel in ("result.csv", "summary.csv", "run.json", "points/0/fits.csv"):
+            assert (out / rel).read_text() != "earlier\n", rel
 
 
 class TestStudyPlan:

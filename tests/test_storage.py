@@ -307,6 +307,159 @@ class TestTraceCsv:
             PhotodiodeTrace(t0_s=0.0, sample_rate_hz=1e6, samples=np.array([1.0, np.nan]))
 
 
+    @pytest.mark.parametrize("raw, lineno, byte", [
+        (b"\xff\xfe# sample_rate_hz=5000000.0 t0_s=0.0\n", 1, 0xff),
+        (b"# sample_rate_hz=5000000.0 t0_s=0.0\r\n0.0,1.0\r\n2e-7,1\xe9\r\n", 3, 0xe9),
+        (b"# sample_rate_hz=5000000.0 t0_s=0.0\n0.0,1.0\n\n\x80", 4, 0x80),
+        (b"# sample_rate_hz=5000000.0 t0_s=0.0\r0.0,\xc3(\r", 2, 0xc3),
+    ])
+    def test_bytes_that_are_not_utf8_are_named_by_line(self, tmp_path, raw, lineno, byte):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        offset = raw.index(bytes([byte]))
+        assert str(exc.value) == f"line {lineno}: not UTF-8 text: byte 0x{byte:02x} at offset {offset}"
+
+
+class _Unpickled:
+    """Records its own unpickling, which a trace reader must never do."""
+
+    calls = []
+
+    def __reduce__(self):
+        return (_Unpickled.calls.append, ("unpickled",))
+
+
+def _npz(path, **arrays):
+    np.savez(path, **arrays)
+    return path
+
+
+class TestTraceNpz:
+    @pytest.fixture()
+    def trace(self, loaded):
+        return simulate_storage(loaded.config, loaded.sequence)
+
+    @pytest.mark.parametrize("t0, fs", [(None, None), (-1.25e-5, 3.3e6), (0.1 + 0.2, 1e7 / 3)])
+    def test_round_trip_is_bit_equal(self, trace, tmp_path, t0, fs):
+        if t0 is not None:
+            trace = replace(trace, t0_s=t0, sample_rate_hz=fs)
+        path = tmp_path / "trace.npz"
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.samples.dtype == np.float64
+        assert repr(back.sample_rate_hz) == repr(trace.sample_rate_hz)
+        assert repr(back.t0_s) == repr(trace.t0_s)
+
+    def test_file_holds_exactly_the_three_arrays(self, trace, tmp_path):
+        path = tmp_path / "trace.npz"
+        write_trace_csv(trace, path)
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == list(storage.NPZ_KEYS) == ["samples", "sample_rate_hz", "t0_s"]
+            assert npz["samples"].shape == (trace.n_samples,)
+            assert npz["sample_rate_hz"].shape == npz["t0_s"].shape == ()
+            assert {npz[k].dtype for k in npz.files} == {np.dtype(np.float64)}
+        assert np.load(path)["samples"].tobytes() == trace.samples.tobytes()
+
+    def test_writes_are_byte_identical_whatever_the_clock(self, trace, tmp_path, monkeypatch):
+        import time
+
+        real = time.time
+        write_trace_csv(trace, tmp_path / "a.npz")
+        monkeypatch.setattr(time, "time", lambda: real() + 86400.0 * 400)
+        write_trace_csv(trace, tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_a_pickled_object_array_is_refused_without_unpickling(self, tmp_path):
+        path = tmp_path / "t.npz"
+        np.savez(path, samples=np.array([_Unpickled(), 1.0], dtype=object),
+                 sample_rate_hz=5e6, t0_s=0.0)
+        _Unpickled.calls.clear()
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == (f"{path}: unreadable archive: Object arrays cannot be "
+                                  "loaded when allow_pickle=False")
+        assert _Unpickled.calls == []
+
+    GOOD = {"samples": np.array([1.0, 2.0, 3.0]), "sample_rate_hz": 5e6, "t0_s": 0.0}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"t0_s": None}, "expected arrays samples, sample_rate_hz, t0_s, got sample_rate_hz, samples"),
+        ({"extra": 1.0}, "expected arrays samples, sample_rate_hz, t0_s, "
+                         "got extra, sample_rate_hz, samples, t0_s"),
+        ({"samples": np.array([1, 2, 3])},
+         "'samples' must be a non-empty 1-D float64 array, got int64 of shape (3,)"),
+        ({"samples": np.ones(3, dtype=np.float32)},
+         "'samples' must be a non-empty 1-D float64 array, got float32 of shape (3,)"),
+        ({"samples": np.ones((2, 2))},
+         "'samples' must be a non-empty 1-D float64 array, got float64 of shape (2, 2)"),
+        ({"samples": np.ones(0)},
+         "'samples' must be a non-empty 1-D float64 array, got float64 of shape (0,)"),
+        ({"sample_rate_hz": np.array([5e6])},
+         "'sample_rate_hz' must be a 0-d float64 array, got float64 of shape (1,)"),
+        ({"t0_s": np.int64(0)}, "'t0_s' must be a 0-d float64 array, got int64 of shape ()"),
+        ({"samples": np.array([1.0, 2.0, np.nan])}, "non-finite sample nan at index 2"),
+        ({"samples": np.array([-np.inf, 2.0, np.nan])}, "non-finite sample -inf at index 0"),
+        ({"sample_rate_hz": np.inf}, "sample_rate_hz must be finite and > 0, got inf"),
+        ({"sample_rate_hz": -5e6}, "sample_rate_hz must be finite and > 0, got -5000000.0"),
+        ({"t0_s": np.nan}, "t0_s must be finite, got nan"),
+    ])
+    def test_bad_arrays_are_named(self, tmp_path, change, message):
+        arrays = {k: v for k, v in {**self.GOOD, **change}.items() if v is not None}
+        path = _npz(tmp_path / "t.npz", **arrays)
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_a_file_that_is_not_a_zip_archive(self, tmp_path, trace):
+        for name, raw in (("empty.npz", b""), ("text.npz", b"# sample_rate_hz=5e6 t0_s=0\n")):
+            (tmp_path / name).write_bytes(raw)
+            with pytest.raises(TraceParseError) as exc:
+                read_trace_csv(tmp_path / name)
+            assert str(exc.value) == f"{tmp_path / name}: not a zip archive"
+        np.save(tmp_path / "array.npy", trace.samples)
+        path = (tmp_path / "array.npy").rename(tmp_path / "array.npz")
+        with pytest.raises(TraceParseError, match="not a zip archive$"):
+            read_trace_csv(path)
+
+    def test_a_truncated_archive(self, tmp_path, trace):
+        path = tmp_path / "t.npz"
+        write_trace_csv(trace, path)
+        path.write_bytes(path.read_bytes()[:1000])
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}: unreadable archive: File is not a zip file"
+
+    @pytest.mark.parametrize("save, offset, message", [
+        (np.savez, 300, "Bad CRC-32 for file 'samples.npy'"),
+        (np.savez, 120, "('EOF in multi-line statement', (2, 0))"),
+        (np.savez_compressed, 120,
+         "Error -3 while decompressing data: invalid literal/lengths set"),
+    ], ids=["samples", "npy_header", "compressed"])
+    def test_a_corrupted_member(self, tmp_path, save, offset, message):
+        path = tmp_path / "t.npz"
+        save(path, **{**self.GOOD, "samples": np.random.default_rng(0).normal(size=500)})
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 20] = bytes(20)
+        path.write_bytes(raw)
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}: unreadable archive: {message}"
+
+    def test_a_member_that_is_not_an_array(self, tmp_path):
+        import zipfile
+
+        path = tmp_path / "t.npz"
+        with zipfile.ZipFile(path, "w") as zf:
+            for name in ("samples", "sample_rate_hz.npy", "t0_s.npy"):
+                zf.writestr(name, b"raw bytes")
+        with pytest.raises(TraceParseError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}: 'samples' is not a .npy array"
+
+
 class TestInputBeatFrequency:
     def test_splitting_plus_detuning(self, config):
         cfg = replace(config, delta_r_hz=4e3)

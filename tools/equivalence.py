@@ -4,10 +4,14 @@ Runs five studies with seed base 12345 through the command line of the
 working tree and of a parent revision, at jobs 1 and 2, every run in its
 own subprocess: spectroscopy in both average modes, the control sweep, the
 signal sweep and the dark resonance.  After them it runs ``init-config`` and
-``fit`` on a trace of the first study.  Then it compares the two trees of
-outputs file by file.  ``run.json`` may differ only in its timing; every
-other file must be byte-identical.  For a CSV file that is not, it prints the
-largest relative difference of any cell.  Exits 1 on any difference.
+``fit`` on the trace file that the first study of the same tree wrote.  Then
+it compares the two trees of outputs file by file.  ``run.json`` may differ
+only in its timing.  A trace file is compared by content: a parent's
+``points/.../trace*.csv`` pairs with a child's ``trace*.npz`` of the same
+stem, and the pair is identical when the samples, ``sample_rate_hz`` and
+``t0_s`` are bit-equal.  Every other file must be byte-identical.  For a CSV
+or trace file that is not, it prints the largest relative difference of any
+value.  Exits 1 on any difference.
 It also prints the non-blank line count of ``src/lightstore`` in both trees.
 
     python tools/equivalence.py --parent <rev>
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import glob
 import io
 import json
 import math
@@ -29,7 +34,9 @@ import sys
 import tarfile
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SEED_BASE = 12345
@@ -45,10 +52,11 @@ STUDIES = (
     ("dark-resonance", "dark-resonance", None),
 )
 # (output directory, CLI arguments with {runs} for the runs' root), run after
-# STUDIES; the fit window is the guarded readout epoch of the default sequence
+# STUDIES; an argument with a * is the one file of its tree that it matches.
+# The fit window is the guarded readout epoch of the default sequence.
 COMMANDS = (
     ("init-config", ("init-config", "{runs}/init-config/default.cfg")),
-    ("fit", ("fit", "{runs}/spectroscopy-average-traces/points/0/trace.csv", "--out",
+    ("fit", ("fit", "{runs}/spectroscopy-average-traces/points/0/trace.*", "--out",
              "{runs}/fit", "--window", "8.7e-05", "1.45e-04", "--envelope")),
 )
 
@@ -57,16 +65,22 @@ COMMANDS = (
 class Comparison:
     """Outcome of comparing two trees of run directories."""
 
+    # relative paths; a trace pair as points/<i>/trace.{csv,npz}
     identical: list[str] = field(default_factory=list)
-    # relative path -> largest relative |difference| of its cells (inf when
-    # the files do not line up cell by cell)
+    # relative path -> largest relative |difference| of its values (inf when
+    # the files do not line up value by value)
     differing: dict[str, float] = field(default_factory=dict)
-    # relative paths present in only one of the trees
+    # relative paths present in only one of the trees and not paired
     unmatched: list[str] = field(default_factory=list)
 
     @property
     def equal(self) -> bool:
         return not self.differing and not self.unmatched
+
+
+def _relative(x: float, y: float) -> float:
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale > 0.0 else math.inf
 
 
 def max_relative_difference(a: str, b: str) -> float:
@@ -87,9 +101,44 @@ def max_relative_difference(a: str, b: str) -> float:
                 x, y = float(cell_a), float(cell_b)
             except ValueError:
                 return math.inf
-            scale = max(abs(x), abs(y))
-            worst = max(worst, abs(x - y) / scale if scale > 0.0 else math.inf)
+            worst = max(worst, _relative(x, y))
     return worst
+
+
+def trace_values(path: Path) -> np.ndarray:
+    """sample_rate_hz, t0_s and the samples of a trace file, .npz or CSV, as one array.
+
+    Read without the package under comparison: the .npz arrays as stored,
+    the CSV header values and the cells after each row's comma.
+    """
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as npz:
+            return np.concatenate([[npz["sample_rate_hz"], npz["t0_s"]], npz["samples"]])
+    header, *rows = path.read_text().splitlines()
+    meta = [float(item.split("=")[1]) for item in header.lstrip("#").split()]
+    return np.array(meta + [float(row.split(",")[1]) for row in rows if row.strip()])
+
+
+def trace_difference(a: Path, b: Path) -> "float | None":
+    """None when two trace files hold bit-equal values, else their largest relative difference."""
+    x, y = trace_values(a), trace_values(b)
+    if x.shape != y.shape:
+        return math.inf
+    if x.tobytes() == y.tobytes():
+        return None
+    return max((_relative(u, v) for u, v in zip(x.tolist(), y.tolist()) if u != v), default=0.0)
+
+
+def _trace_pairs(only_a: set[str], only_b: set[str]) -> dict[str, str]:
+    """points/.../trace*.csv of tree a -> the trace*.npz of the same stem in tree b."""
+    pairs = {}
+    for rel in only_a:
+        path = PurePosixPath(rel)
+        twin = path.with_suffix(".npz").as_posix()
+        if (path.suffix == ".csv" and path.name.startswith("trace")
+                and "points" in path.parts[:-1] and twin in only_b):
+            pairs[rel] = twin
+    return pairs
 
 
 def _same_run_json(a: bytes, b: bytes) -> bool:
@@ -98,20 +147,39 @@ def _same_run_json(a: bytes, b: bytes) -> bool:
     return meta_a == meta_b
 
 
+def _difference(a: Path, b: Path) -> "float | None":
+    """None when two files count as identical, else the largest relative difference of their values."""
+    if a.suffix != b.suffix:
+        return trace_difference(a, b)
+    bytes_a, bytes_b = a.read_bytes(), b.read_bytes()
+    if _same_run_json(bytes_a, bytes_b) if a.name == "run.json" else bytes_a == bytes_b:
+        return None
+    if a.suffix == ".csv":
+        return max_relative_difference(bytes_a.decode(), bytes_b.decode())
+    if a.suffix == ".npz":
+        worst = trace_difference(a, b)
+        return math.inf if worst is None else worst
+    return math.inf
+
+
 def compare_trees(dir_a: Path, dir_b: Path) -> Comparison:
-    """Compare every file under two directories; run.json files up to their timing."""
+    """Compare every file under two directories of tree a (parent) and tree b (child).
+
+    run.json files are compared up to their timing, a CSV trace of a with
+    the .npz trace of b that replaces it by content, and every other file
+    by its bytes.
+    """
     files_a = {p.relative_to(dir_a).as_posix() for p in dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(dir_b).as_posix() for p in dir_b.rglob("*") if p.is_file()}
-    result = Comparison(unmatched=sorted(files_a ^ files_b))
-    for rel in sorted(files_a & files_b):
-        a, b = (dir_a / rel).read_bytes(), (dir_b / rel).read_bytes()
-        same = _same_run_json(a, b) if Path(rel).name == "run.json" else a == b
-        if same:
-            result.identical.append(rel)
-        elif rel.endswith(".csv"):
-            result.differing[rel] = max_relative_difference(a.decode(), b.decode())
+    pairs = _trace_pairs(files_a - files_b, files_b - files_a)
+    result = Comparison(unmatched=sorted((files_a ^ files_b) - {*pairs, *pairs.values()}))
+    for rel_a, rel_b in sorted([(rel, rel) for rel in files_a & files_b] + list(pairs.items())):
+        worst = _difference(dir_a / rel_a, dir_b / rel_b)
+        label = rel_a if rel_a == rel_b else f"{rel_a[:-len('.csv')]}.{{csv,npz}}"
+        if worst is None:
+            result.identical.append(label)
         else:
-            result.differing[rel] = math.inf
+            result.differing[label] = worst
     return result
 
 
@@ -129,6 +197,14 @@ def export_revision(rev: str, dest: Path) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
+def _one_match(pattern: str) -> str:
+    """The one file that a glob pattern matches, such as the trace file a tree wrote."""
+    matches = glob.glob(pattern)
+    if len(matches) != 1:
+        raise RuntimeError(f"{pattern} matches {len(matches)} files, not 1")
+    return matches[0]
+
+
 def run_studies(src: Path, out: Path, jobs: int) -> Path:
     """Run STUDIES, then COMMANDS, with the package under src; returns the runs' root."""
     runs = out / "runs"
@@ -143,6 +219,7 @@ def run_studies(src: Path, out: Path, jobs: int) -> Path:
         argvs.append((name, argv))
     argvs += [(name, [arg.format(runs=runs) for arg in args]) for name, args in COMMANDS]
     for name, argv in argvs:
+        argv = [_one_match(arg) if "*" in arg else arg for arg in argv]
         (runs / name).mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, "-m", "lightstore.cli", *argv],
                               capture_output=True, text=True, env=env, cwd=out)
