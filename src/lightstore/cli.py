@@ -103,63 +103,57 @@ def _resolve_jobs(args) -> int:
     return 1
 
 
-def _load(args):
-    if args.config is None:
-        return default_config()
-    return load_config(args.config)
-
-
 def _print_kv(rows) -> None:
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
         print(f"  {key:<{width}}  {value}")
 
 
+# What a study prints, per kind: the study, then a header over the record's
+# point counts (or None) and (label, summary keys, format of their values)
+# rows; a row whose keys the summary lacks is not printed.
+_STUDIES = {
+    "spectroscopy": (run_spectroscopy, "spectroscopy: {usable} points, {excluded} excluded", (
+        ("input slope", ("input_slope", "input_slope_err"), "{:.6f} +- {:.6f}".format),
+        ("retrieved slope", ("retrieved_slope", "retrieved_slope_err"),
+         "{:.6f} +- {:.6f}".format),
+        ("delta_f_ac", ("delta_f_ac_hz", "delta_f_ac_err_hz"), "{:.3f} +- {:.3f} Hz".format),
+    )),
+    "dark_resonance": (run_dark_resonance, None, (
+        ("FWHM", ("fwhm_hz",), lambda hz: f"{hz / 1e3:.3f} kHz"),
+        ("peak at", ("peak_delta_r_hz",), "{:.1f} Hz".format),
+        ("peak transmission", ("peak_transmission",), "{:.4f}".format),
+    )),
+    "control_sweep": (run_control_sweep, None, (
+        ("slope", ("slope_hz_per_intensity", "slope_err_hz_per_intensity"),
+         "{:.4f} +- {:.4f} Hz per I/I_sat".format),
+        ("intercept", ("intercept_hz", "intercept_err_hz"), "{:.3f} +- {:.3f} Hz".format),
+        ("R^2", ("r_squared",), "{:.6f}".format),
+    )),
+    "signal_sweep": (run_signal_sweep, None, (
+        ("full-range slope", ("full_slope_hz_per_intensity", "full_slope_err_hz_per_intensity"),
+         "{:.4f} +- {:.4f} Hz per I/I_sat".format),
+        ("full-range |t|", ("full_slope_t_statistic",), lambda t: f"{abs(t):.3f}"),
+        ("restricted slope",
+         ("restricted_slope_hz_per_intensity", "restricted_slope_err_hz_per_intensity"),
+         "{:.4f} +- {:.4f}".format),
+        ("restricted |t|", ("restricted_slope_t_statistic",), lambda t: f"{abs(t):.3f}"),
+    )),
+}
+
+
 def _run_study(args, kind: str) -> int:
-    loaded = _load(args)
-    plan = StudyPlan.from_loaded(
-        loaded, kind,
-        seed_base=args.seed,
-        out_dir=args.out,
-        jobs=_resolve_jobs(args),
-        persist_traces=not args.no_traces,
-    )
-    if kind == "spectroscopy":
-        result, record = run_spectroscopy(plan)
-        print(f"spectroscopy: {len(result.points)} points, "
-              f"{sum(p.excluded for p in record.points)} excluded")
-        _print_kv([
-            ("input slope", f"{result.input_fit.slope:.6f} +- {result.input_fit.slope_err:.6f}"),
-            ("retrieved slope", f"{result.retrieved_fit.slope:.6f} +- {result.retrieved_fit.slope_err:.6f}"),
-            ("delta_f_ac", f"{result.delta_f_ac_hz:.3f} +- {result.delta_f_ac_err_hz:.3f} Hz"),
-        ])
-    elif kind == "dark_resonance":
-        points, record = run_dark_resonance(plan)
-        summary = dict(record.summary)
-        _print_kv([
-            ("FWHM", f"{summary['fwhm_hz'] / 1e3:.3f} kHz"),
-            ("peak at", f"{summary['peak_delta_r_hz']:.1f} Hz"),
-            ("peak transmission", f"{summary['peak_transmission']:.4f}"),
-        ])
-    elif kind == "control_sweep":
-        triples, fit, record = run_control_sweep(plan)
-        summary = dict(record.summary)
-        _print_kv([
-            ("slope", f"{fit.slope:.4f} +- {fit.slope_err:.4f} Hz per I/I_sat"),
-            ("intercept", f"{fit.intercept:.3f} +- {fit.intercept_err:.3f} Hz"),
-            ("R^2", f"{summary['r_squared']:.6f}"),
-        ])
-    else:
-        triples, fits, record = run_signal_sweep(plan)
-        summary = dict(record.summary)
-        rows = [("full-range slope",
-                 f"{fits['full'].slope:.4f} +- {fits['full'].slope_err:.4f} Hz per I/I_sat"),
-                ("full-range |t|", f"{abs(summary['full_slope_t_statistic']):.3f}")]
-        if "restricted" in fits:
-            rows += [("restricted slope",
-                      f"{fits['restricted'].slope:.4f} +- {fits['restricted'].slope_err:.4f}"),
-                     ("restricted |t|", f"{abs(summary['restricted_slope_t_statistic']):.3f}")]
-        _print_kv(rows)
+    loaded = default_config() if args.config is None else load_config(args.config)
+    plan = StudyPlan.from_loaded(loaded, kind, seed_base=args.seed, out_dir=args.out,
+                                 jobs=_resolve_jobs(args), persist_traces=not args.no_traces)
+    run, header, rows = _STUDIES[kind]
+    record = run(plan)[-1]
+    if header is not None:
+        excluded = sum(p.excluded for p in record.points)
+        print(header.format(usable=len(record.points) - excluded, excluded=excluded))
+    summary = dict(record.summary)
+    _print_kv([(label, fmt(*(summary[k] for k in keys))) for label, keys, fmt in rows
+               if all(k in summary for k in keys)])
     print(f"outputs in {args.out}")
     return EXIT_OK
 

@@ -11,9 +11,9 @@ written last as the mark of a finished run.  Every study runs between
 ``_start_run`` (kind check, then removal of what an earlier run wrote
 there, RUN_OUTPUTS and points/<i>) and ``_finish_run``; any other file in
 the directory is left alone.
-This module writes every table of a run directory; the task that measures
-a chunk of detuning points, in the parent or in a pool worker, writes
-those points' directories, and the parent writes the run-level files.
+Each kind's derive step (``_KINDS``) turns measured points into the run's
+tables and ``_finish_run`` writes every run-level file; the task that
+measures detuning points, in the parent or a worker, writes their directories.
 Identical seeds yield byte-identical files, apart from run.json's timing,
 whether points are evaluated serially or in a process pool.
 """
@@ -27,9 +27,11 @@ import re
 import shutil
 import time
 import warnings
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +80,6 @@ __all__ = [
     "STUDY_KINDS",
 ]
 
-STUDY_KINDS = ("dark_resonance", "spectroscopy", "control_sweep", "signal_sweep")
 # Value keys of a detuning point and of a sweep point, in summary.csv order.
 POINT_KEYS = ("f_input_hz", "f_input_err_hz", "f_retrieved_hz", "f_retrieved_err_hz")
 SHIFT_KEYS = ("delta_f_ac_hz", "delta_f_ac_err_hz")
@@ -125,7 +126,7 @@ class StudyPlan:
     persist_traces: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in STUDY_KINDS:
+        if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown study kind {self.kind!r}")
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
@@ -155,12 +156,7 @@ class StudyPlan:
 
     @property
     def grid(self) -> tuple[float, ...]:
-        return {
-            "spectroscopy": self.study.delta_r_grid_hz,
-            "dark_resonance": self.study.dark_resonance_grid_hz,
-            "control_sweep": self.study.control_intensity_grid,
-            "signal_sweep": self.study.signal_intensity_grid,
-        }[self.kind]
+        return getattr(self.study, _KINDS[self.kind].grid_field)
 
     def loaded(self) -> LoadedExperiment:
         return LoadedExperiment(config=self.config, sequence=self.sequence, study=self.study,
@@ -325,18 +321,6 @@ def _map_points(plan: StudyPlan, tasks: "list[tuple[StudyPlan, list[int]]]") -> 
     return [_measure_point(t) for t in tasks]
 
 
-def _spectroscopy_result(points: "tuple[PointRecord, ...]") -> SpectroscopyResult:
-    """Fit both frequency lines through the usable points and intersect them."""
-    surviving = [p for p in points if not p.excluded]
-    if len(surviving) < 3:
-        raise OrchestrationError(
-            f"only {len(surviving)} of {len(points)} points usable; need >= 3"
-        )
-    return SpectroscopyResult.from_points(
-        [SpectroscopyPoint(delta_r_hz=p.x, **p.values) for p in surviving]
-    )
-
-
 def _eit_window_estimate_hz(config: ExperimentConfig) -> float:
     """Rough transparency-window FWHM: power-broadened term plus dephasing."""
     gamma_e = config.level_scheme.gamma_e_rad
@@ -349,11 +333,10 @@ def _eit_window_estimate_hz(config: ExperimentConfig) -> float:
 # -- persistence helpers -----------------------------------------------------
 
 
-def _write_rows_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_rows_csv(path: Path, rows) -> None:
+    """A CSV file of the given rows, its header first."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows(rows)
 
 
 def _fmt(value: float) -> str:
@@ -362,34 +345,13 @@ def _fmt(value: float) -> str:
 
 def write_fits_csv(rows: "list[tuple[str, BeatFitResult]]", path: Path) -> None:
     """fits.csv: one row per (window id, fit)."""
-    _write_rows_csv(path, ["window_id", "f_b_hz", "f_b_err_hz", "amplitude", "tau_e_s",
-                           "rms_residual", "converged"], [
-        [window_id, *map(_fmt, (fit.f_b_hz, fit.f_b_err_hz, fit.amplitude,
-                                fit.envelope_decay_time_s, fit.rms_residual)),
-         str(fit.converged).lower()]
-        for window_id, fit in rows
+    _write_rows_csv(path, [
+        ["window_id", "f_b_hz", "f_b_err_hz", "amplitude", "tau_e_s", "rms_residual", "converged"],
+        *([window_id, *map(_fmt, (fit.f_b_hz, fit.f_b_err_hz, fit.amplitude,
+                                  fit.envelope_decay_time_s, fit.rms_residual)),
+           str(fit.converged).lower()]
+          for window_id, fit in rows),
     ])
-
-
-def _write_summary_csv(
-    path: Path, points: "tuple[PointRecord, ...]", x_name: str, keys: tuple[str, ...]
-) -> None:
-    """One row per grid point; an excluded point has empty values and its error."""
-    _write_rows_csv(path, ["index", x_name, *keys, "excluded", "error"], [
-        [str(p.index), _fmt(p.x),
-         *([""] * len(keys) if p.excluded else [_fmt(p.values[k]) for k in keys]),
-         "1" if p.excluded else "0", p.error or ""]
-        for p in points
-    ])
-
-
-def _write_plot_xy(path: Path, xs, ys) -> None:
-    _write_rows_csv(path, ["x", "y"], [[_fmt(x), _fmt(y)] for x, y in zip(xs, ys)])
-
-
-def _line_endpoints(fit: LineFit, xs) -> tuple[list, list]:
-    lo, hi = float(min(xs)), float(max(xs))
-    return [lo, hi], [float(fit.predict(lo)), float(fit.predict(hi))]
 
 
 def _remove_earlier_run(out_dir: Path) -> None:
@@ -426,17 +388,22 @@ def _start_run(plan: StudyPlan, kind: str) -> tuple[StudyPlan, float, str]:
     return plan, time.monotonic(), time.strftime("%Y-%m-%dT%H:%M:%S")
 
 
-def _finish_run(
-    plan: StudyPlan,
-    points: tuple[PointRecord, ...],
-    summary: tuple[tuple[str, float], ...],
-    t_start: float,
-    started_at: str,
-) -> RunRecord:
-    """Write result.csv, then run.json last from the plan and the clock; return the record."""
+def _finish_run(plan: StudyPlan, measured: Sequence, t_start: float, started_at: str,
+                points: "tuple[PointRecord, ...] | None" = None) -> tuple[object, RunRecord]:
+    """Derive the measured points by the kind's step, write its tables, then run.json last.
+
+    A derive step that raises leaves no run-level file.  Returns the kind's
+    result and a record of ``points``, by default the measured ones.
+    """
+    result, summary, rows, series = _KINDS[plan.kind].derive(plan, measured)
+    points = tuple(measured) if points is None else points
     if plan.out_dir is not None:
-        _write_rows_csv(plan.out_dir / RESULT_CSV, ["key", "value"],
-                        [[k, _fmt(v)] for k, v in summary])
+        _write_rows_csv(plan.out_dir / SUMMARY_CSV, rows)
+        for name, (xs, ys) in series.items():
+            _write_rows_csv(plan.out_dir / PLOTDATA / f"{name}.csv",
+                            [["x", "y"], *([_fmt(x), _fmt(y)] for x, y in zip(xs, ys))])
+        _write_rows_csv(plan.out_dir / RESULT_CSV,
+                        [["key", "value"], *([k, _fmt(v)] for k, v in summary)])
         meta = {
             "kind": plan.kind,
             "version": __version__,
@@ -449,7 +416,187 @@ def _finish_run(
         with open(plan.out_dir / RUN_JSON, "w") as fh:
             json.dump(meta, fh, indent=2)
             fh.write("\n")
-    return RunRecord(points=points, summary=summary)
+    return result, RunRecord(points=points, summary=summary)
+
+
+# -- derive steps: measured points -> result, summary and tables (_Kind) ------
+
+
+def _point_rows(kind: str, points: "Sequence[PointRecord]") -> list[list[str]]:
+    """summary.csv of a kind of PointRecords; an excluded point has empty values and its error."""
+    x_name, keys = _KINDS[kind].x_name, _KINDS[kind].keys
+    return [["index", x_name, *keys, "excluded", "error"], *(
+        [str(p.index), _fmt(p.x),
+         *([""] * len(keys) if p.excluded else [_fmt(p.values[k]) for k in keys]),
+         "1" if p.excluded else "0", p.error or ""]
+        for p in points)]
+
+
+def _line_endpoints(fit: LineFit, xs) -> tuple[list, list]:
+    lo, hi = float(min(xs)), float(max(xs))
+    return [lo, hi], [float(fit.predict(lo)), float(fit.predict(hi))]
+
+
+def _usable(points: "Sequence[PointRecord]", what: str) -> list[PointRecord]:
+    """The points that are not excluded; fewer than three of them fail the run."""
+    usable = [p for p in points if not p.excluded]
+    if len(usable) < 3:
+        raise OrchestrationError(f"only {len(usable)} of {len(points)} {what} usable; need >= 3")
+    return usable
+
+
+def _derive_spectroscopy(plan: StudyPlan, points: "Sequence[PointRecord]") -> tuple:
+    """Fit both frequency lines through the usable detuning points and intersect them."""
+    result = SpectroscopyResult.from_points(
+        [SpectroscopyPoint(delta_r_hz=p.x, **p.values) for p in _usable(points, "points")])
+    summary = (
+        ("input_slope", result.input_fit.slope),
+        ("input_slope_err", result.input_fit.slope_err),
+        ("input_intercept_hz", result.input_fit.intercept),
+        ("input_intercept_err_hz", result.input_fit.intercept_err),
+        ("input_chi2_per_dof", result.input_fit.chi2_per_dof),
+        ("retrieved_slope", result.retrieved_fit.slope),
+        ("retrieved_slope_err", result.retrieved_fit.slope_err),
+        ("retrieved_intercept_hz", result.retrieved_fit.intercept),
+        ("retrieved_intercept_err_hz", result.retrieved_fit.intercept_err),
+        ("retrieved_chi2_per_dof", result.retrieved_fit.chi2_per_dof),
+        ("delta_f_ac_hz", result.delta_f_ac_hz),
+        ("delta_f_ac_err_hz", result.delta_f_ac_err_hz),
+    )
+    if plan.out_dir is None:
+        return result, summary, None, None
+    xs = [p.delta_r_hz for p in result.points]
+    return result, summary, _point_rows(plan.kind, points), {
+        "input_points": (xs, [p.f_input_hz for p in result.points]),
+        "retrieved_points": (xs, [p.f_retrieved_hz for p in result.points]),
+        "input_line": _line_endpoints(result.input_fit, xs),
+        "retrieved_line": _line_endpoints(result.retrieved_fit, xs),
+    }
+
+
+def _regress_shifts(points: "Sequence[PointRecord]"):
+    """A sweep's usable (intensity, shift, sigma) triples, their columns as arrays
+    with the sigmas floored, and the full-range line through them."""
+    triples = [(p.x, p.values["delta_f_ac_hz"], p.values["delta_f_ac_err_hz"])
+               for p in _usable(points, "sweep points")]
+    xs, ys = np.array([t[0] for t in triples]), np.array([t[1] for t in triples])
+    sigmas = np.array([max(t[2], SIGMA_FLOOR_HZ) for t in triples])
+    return triples, xs, ys, sigmas, linear_fit(xs, ys, sigmas)
+
+
+def _weighted_r_squared(fit: LineFit, xs, ys, sigmas) -> float:
+    w = 1.0 / sigmas**2
+    y_bar = float(np.sum(w * ys) / np.sum(w))
+    ss_res = float(np.sum(w * (ys - fit.predict(xs)) ** 2))
+    ss_tot = float(np.sum(w * (ys - y_bar) ** 2))
+    return 1.0 - ss_res / ss_tot if ss_tot > 0.0 else math.nan
+
+
+def _derive_control_sweep(plan: StudyPlan, points: "Sequence[PointRecord]") -> tuple:
+    """Regress the shift on the retrieval intensity; the result is (triples, line fit)."""
+    triples, xs, ys, sigmas, fit = _regress_shifts(points)
+    cg_sq = plan.config.control_cg() ** 2
+    summary = (
+        ("slope_hz_per_intensity", fit.slope),
+        ("slope_err_hz_per_intensity", fit.slope_err),
+        ("slope_t_statistic", slope_significance(fit)),
+        ("slope_hz_per_cg2_intensity", fit.slope / cg_sq if cg_sq else math.nan),
+        ("intercept_hz", fit.intercept),
+        ("intercept_err_hz", fit.intercept_err),
+        ("intercept_t_statistic",
+         fit.intercept / fit.intercept_err if fit.intercept_err > 0.0 else math.nan),
+        ("r_squared", _weighted_r_squared(fit, xs, ys, sigmas)),
+        ("chi2_per_dof", fit.chi2_per_dof),
+        ("model_slope_hz_per_intensity", plan.config.light_shift_hz(1.0)),
+    )
+    if plan.out_dir is None:
+        return (triples, fit), summary, None, None
+    return (triples, fit), summary, _point_rows(plan.kind, points), {
+        "shift_points": (xs, ys), "shift_line": _line_endpoints(fit, xs)}
+
+
+def _derive_signal_sweep(plan: StudyPlan, points: "Sequence[PointRecord]") -> tuple:
+    """Regress the shift on the signal intensity; the result is (triples, {name: line fit}).
+
+    Besides the "full" fit, a "restricted" one covers I_S <= I_C (the
+    preparation control intensity), where the weak-signal picture holds,
+    when at least three surviving intensities lie there.
+    """
+    triples, xs, ys, sigmas, full = _regress_shifts(points)
+    fits = {"full": full}
+    cg_sq = plan.config.signal_cg() ** 2
+    summary = [
+        ("full_slope_hz_per_intensity", full.slope),
+        ("full_slope_err_hz_per_intensity", full.slope_err),
+        ("full_slope_t_statistic", slope_significance(full)),
+        ("full_slope_hz_per_cg2_intensity", full.slope / cg_sq if cg_sq else math.nan),
+        ("control_intensity_limit", plan.config.control.intensity),
+    ]
+    keep = xs <= plan.config.control.intensity
+    if int(np.sum(keep)) >= 3:
+        restricted = fits["restricted"] = linear_fit(xs[keep], ys[keep], sigmas[keep])
+        summary += [
+            ("restricted_slope_hz_per_intensity", restricted.slope),
+            ("restricted_slope_err_hz_per_intensity", restricted.slope_err),
+            ("restricted_slope_t_statistic", slope_significance(restricted)),
+            ("restricted_n_points", float(restricted.n_points)),
+        ]
+    if plan.out_dir is None:
+        return (triples, fits), tuple(summary), None, None
+    series = {"shift_points": (xs, ys), "shift_line": _line_endpoints(full, xs)}
+    if "restricted" in fits:
+        series["shift_line_restricted"] = _line_endpoints(restricted, xs[keep])
+    return (triples, fits), tuple(summary), _point_rows(plan.kind, points), series
+
+
+def _derive_dark_resonance(plan: StudyPlan, spectrum: list) -> tuple:
+    """Peak, background and FWHM of the transmission spectrum, which is the result.
+
+    A spectrum without a FWHM (its peak on the grid edge, or no half level
+    inside the grid) fails the run with spectrum_fwhm's reason.
+    """
+    transmissions = [p.transmission for p in spectrum]
+    i_peak = int(np.argmax(transmissions))
+    try:
+        fwhm = spectrum_fwhm(spectrum)
+    except ValueError as exc:
+        raise OrchestrationError(f"FWHM undefined: {exc}") from exc
+    summary = (
+        ("fwhm_hz", fwhm),
+        ("peak_delta_r_hz", spectrum[i_peak].delta_r_hz),
+        ("peak_transmission", spectrum[i_peak].transmission),
+        ("background_transmission", float(min(transmissions))),
+    )
+    if plan.out_dir is None:
+        return spectrum, summary, None, None
+    columns = (_KINDS[plan.kind].x_name, *_KINDS[plan.kind].keys)
+    xs, *ys = ([getattr(p, c) for p in spectrum] for c in columns)
+    rows = [list(columns), *(list(map(_fmt, row)) for row in zip(xs, *ys))]
+    return spectrum, summary, rows, {c: (xs, y) for c, y in zip(columns[1:], ys)}
+
+
+class _Kind(NamedTuple):
+    """A study kind: its grid's StudyDefaults field, summary.csv's x and value columns,
+    and derive(plan, measured) -> (run_* result, result.csv's (key, value) summary,
+    summary.csv's rows, header first, {plotdata name: (xs, ys)}), the last two
+    None for a plan without an output directory."""
+
+    grid_field: str
+    x_name: str
+    keys: tuple[str, ...]
+    derive: Callable[[StudyPlan, Sequence], tuple]
+
+
+_KINDS = {
+    "dark_resonance": _Kind("dark_resonance_grid_hz", "delta_r_hz",
+                            ("transmission", "absorption_proxy"), _derive_dark_resonance),
+    "spectroscopy": _Kind("delta_r_grid_hz", "delta_r_hz", POINT_KEYS, _derive_spectroscopy),
+    "control_sweep": _Kind("control_intensity_grid", "intensity", SHIFT_KEYS,
+                           _derive_control_sweep),
+    "signal_sweep": _Kind("signal_intensity_grid", "intensity", SHIFT_KEYS,
+                          _derive_signal_sweep),
+}
+STUDY_KINDS = tuple(_KINDS)
 
 
 # -- studies -----------------------------------------------------------------
@@ -468,41 +615,6 @@ def _prepare_spectroscopy(plan: StudyPlan) -> tuple[StudyPlan, float, str]:
     return run
 
 
-def _finish_spectroscopy(
-    plan: StudyPlan, t0: float, started: str, points: tuple[PointRecord, ...]
-) -> tuple[SpectroscopyResult, RunRecord]:
-    """Intersect the lines of the measured points and write the run-level files."""
-    result = _spectroscopy_result(points)
-    summary = (
-        ("input_slope", result.input_fit.slope),
-        ("input_slope_err", result.input_fit.slope_err),
-        ("input_intercept_hz", result.input_fit.intercept),
-        ("input_intercept_err_hz", result.input_fit.intercept_err),
-        ("input_chi2_per_dof", result.input_fit.chi2_per_dof),
-        ("retrieved_slope", result.retrieved_fit.slope),
-        ("retrieved_slope_err", result.retrieved_fit.slope_err),
-        ("retrieved_intercept_hz", result.retrieved_fit.intercept),
-        ("retrieved_intercept_err_hz", result.retrieved_fit.intercept_err),
-        ("retrieved_chi2_per_dof", result.retrieved_fit.chi2_per_dof),
-        ("delta_f_ac_hz", result.delta_f_ac_hz),
-        ("delta_f_ac_err_hz", result.delta_f_ac_err_hz),
-    )
-
-    if plan.out_dir is not None:
-        _write_summary_csv(plan.out_dir / SUMMARY_CSV, points, "delta_r_hz", POINT_KEYS)
-        xs = [p.delta_r_hz for p in result.points]
-        _write_plot_xy(plan.out_dir / PLOTDATA / "input_points.csv",
-                       xs, [p.f_input_hz for p in result.points])
-        _write_plot_xy(plan.out_dir / PLOTDATA / "retrieved_points.csv",
-                       xs, [p.f_retrieved_hz for p in result.points])
-        _write_plot_xy(plan.out_dir / PLOTDATA / "input_line.csv",
-                       *_line_endpoints(result.input_fit, xs))
-        _write_plot_xy(plan.out_dir / PLOTDATA / "retrieved_line.csv",
-                       *_line_endpoints(result.retrieved_fit, xs))
-
-    return result, _finish_run(plan, points, summary, t0, started)
-
-
 def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
     """Synthesize and fit one trace pair per Raman detuning, then intersect.
 
@@ -515,23 +627,18 @@ def run_spectroscopy(plan: StudyPlan) -> tuple[SpectroscopyResult, RunRecord]:
     indices = list(range(len(plan.grid)))
     chunks = _map_points(plan, [(plan, indices)] if plan.jobs == 1
                          else [(plan, [i]) for i in indices])
-    return _finish_spectroscopy(plan, t0, started, tuple(p for chunk in chunks for p in chunk))
+    return _finish_run(plan, [p for chunk in chunks for p in chunk], t0, started)
 
 
-def _run_shift_sweep(
-    plan: StudyPlan, kind: str, summarize
-) -> tuple[list[tuple[float, float, float]], dict[str, LineFit], RunRecord]:
+def _run_shift_sweep(plan: StudyPlan, kind: str) -> tuple:
     """Shared driver for the control/signal intensity sweeps, of the given plan kind.
 
     Prepares a nested spectroscopy per grid intensity, measures each of
     them as one task of one pool, then finishes each nested study in order
-    and regresses the extracted shift against intensity.  A nested study
-    that raises a FitError (lines too close to parallel, say) or has too few
-    usable points excludes its intensity with that error's message and has
-    no run.json.  The signal sweep adds a fit restricted to I_S <= I_C.
-    Returns the surviving (intensity, shift, sigma) triples, the line fits
-    and the record, whose summary is ``summarize(fits, xs, ys, sigmas)`` of
-    the surviving intensities, shifts and floored sigmas.
+    and derives the sweep from their shifts.  A nested study that raises a
+    FitError (lines too close to parallel, say) or has too few usable points
+    excludes its intensity with that error's message and has no run.json.
+    Returns the kind's result, unpacked, then the record.
     """
     plan, t0, started = _start_run(plan, kind)
     with_intensity = with_readout_intensity if kind == "control_sweep" else with_signal_intensity
@@ -544,133 +651,35 @@ def _run_shift_sweep(
         for i, intensity in enumerate(plan.grid)
     ]
     measured = _map_points(plan, [(inner, list(range(len(inner.grid)))) for inner, *_ in nested])
-    sweep_points: list[PointRecord] = []
+    sweep_points = []
     for i, ((inner, t_inner, started_inner), points) in enumerate(zip(nested, measured)):
         x = float(plan.grid[i])
         try:
-            result, _ = _finish_spectroscopy(inner, t_inner, started_inner, tuple(points))
-            sweep_points.append(PointRecord(index=i, x=x, values=dict(zip(
-                SHIFT_KEYS, (result.delta_f_ac_hz, result.delta_f_ac_err_hz)))))
+            summary = dict(_finish_run(inner, points, t_inner, started_inner)[1].summary)
         except (FitError, OrchestrationError) as exc:
             sweep_points.append(PointRecord(index=i, x=x, error=f"{type(exc).__name__}: {exc}"))
-
-    surviving = [p for p in sweep_points if not p.excluded]
-    if len(surviving) < 3:
-        raise OrchestrationError(
-            f"only {len(surviving)} of {len(sweep_points)} sweep points usable; need >= 3"
-        )
-    triples = [(p.x, p.values["delta_f_ac_hz"], p.values["delta_f_ac_err_hz"])
-               for p in surviving]
-    xs, ys = np.array([t[0] for t in triples]), np.array([t[1] for t in triples])
-    sigmas = np.array([max(t[2], SIGMA_FLOOR_HZ) for t in triples])
-    fits = {"full": linear_fit(xs, ys, sigmas)}
-    keep = xs <= plan.config.control.intensity
-    if kind == "signal_sweep" and int(np.sum(keep)) >= 3:
-        fits["restricted"] = linear_fit(xs[keep], ys[keep], sigmas[keep])
-
-    if plan.out_dir is not None:
-        _write_summary_csv(plan.out_dir / SUMMARY_CSV, tuple(sweep_points),
-                           "intensity", SHIFT_KEYS)
-        _write_plot_xy(plan.out_dir / PLOTDATA / "shift_points.csv", xs, ys)
-        _write_plot_xy(plan.out_dir / PLOTDATA / "shift_line.csv",
-                       *_line_endpoints(fits["full"], xs))
-        if "restricted" in fits:
-            _write_plot_xy(plan.out_dir / PLOTDATA / "shift_line_restricted.csv",
-                           *_line_endpoints(fits["restricted"], xs[keep]))
-
-    record = _finish_run(plan, tuple(sweep_points), summarize(fits, xs, ys, sigmas), t0, started)
-    return triples, fits, record
-
-
-def _weighted_r_squared(fit: LineFit, xs, ys, sigmas) -> float:
-    w = 1.0 / sigmas**2
-    y_bar = float(np.sum(w * ys) / np.sum(w))
-    ss_res = float(np.sum(w * (ys - fit.predict(xs)) ** 2))
-    ss_tot = float(np.sum(w * (ys - y_bar) ** 2))
-    return 1.0 - ss_res / ss_tot if ss_tot > 0.0 else math.nan
+        else:
+            sweep_points.append(PointRecord(index=i, x=x,
+                                            values={k: summary[k] for k in SHIFT_KEYS}))
+    result, record = _finish_run(plan, sweep_points, t0, started)
+    return (*result, record)
 
 
 def run_control_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]], LineFit, RunRecord]:
     """Extract the shift for each retrieval intensity and fit its linearity."""
-
-    def summarize(fits, xs, ys, sigmas):
-        fit = fits["full"]
-        cg_sq = plan.config.control_cg() ** 2
-        return (
-            ("slope_hz_per_intensity", fit.slope),
-            ("slope_err_hz_per_intensity", fit.slope_err),
-            ("slope_t_statistic", slope_significance(fit)),
-            ("slope_hz_per_cg2_intensity", fit.slope / cg_sq if cg_sq else math.nan),
-            ("intercept_hz", fit.intercept),
-            ("intercept_err_hz", fit.intercept_err),
-            ("intercept_t_statistic",
-             fit.intercept / fit.intercept_err if fit.intercept_err > 0.0 else math.nan),
-            ("r_squared", _weighted_r_squared(fit, xs, ys, sigmas)),
-            ("chi2_per_dof", fit.chi2_per_dof),
-            ("model_slope_hz_per_intensity", plan.config.light_shift_hz(1.0)),
-        )
-
-    triples, fits, record = _run_shift_sweep(plan, "control_sweep", summarize)
-    return triples, fits["full"], record
+    return _run_shift_sweep(plan, "control_sweep")
 
 
 def run_signal_sweep(plan: StudyPlan) -> tuple[list[tuple[float, float, float]], dict[str, LineFit], RunRecord]:
-    """Vary the input signal intensity; report full and restricted-range fits.
-
-    The restricted fit covers I_S <= I_C (the preparation control
-    intensity), mirroring the regime where the weak-signal picture holds.
-    """
-
-    def summarize(fits, xs, ys, sigmas):
-        full = fits["full"]
-        cg_sq = plan.config.signal_cg() ** 2
-        summary = [
-            ("full_slope_hz_per_intensity", full.slope),
-            ("full_slope_err_hz_per_intensity", full.slope_err),
-            ("full_slope_t_statistic", slope_significance(full)),
-            ("full_slope_hz_per_cg2_intensity", full.slope / cg_sq if cg_sq else math.nan),
-            ("control_intensity_limit", plan.config.control.intensity),
-        ]
-        if "restricted" in fits:
-            restricted = fits["restricted"]
-            summary += [
-                ("restricted_slope_hz_per_intensity", restricted.slope),
-                ("restricted_slope_err_hz_per_intensity", restricted.slope_err),
-                ("restricted_slope_t_statistic", slope_significance(restricted)),
-                ("restricted_n_points", float(restricted.n_points)),
-            ]
-        return tuple(summary)
-
-    return _run_shift_sweep(plan, "signal_sweep", summarize)
+    """Vary the input signal intensity; report full and restricted-range fits."""
+    return _run_shift_sweep(plan, "signal_sweep")
 
 
 def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
     """Steady-state transmission spectrum over the configured detuning grid."""
     plan, t0, started = _start_run(plan, "dark_resonance")
-    points = transmission_spectrum(plan.config, np.array(plan.study.dark_resonance_grid_hz))
-    transmissions = [p.transmission for p in points]
-    i_peak = int(np.argmax(transmissions))
-    try:
-        fwhm = spectrum_fwhm(points)
-    except ValueError:
-        fwhm = math.nan
-    summary = (
-        ("fwhm_hz", fwhm),
-        ("peak_delta_r_hz", points[i_peak].delta_r_hz),
-        ("peak_transmission", points[i_peak].transmission),
-        ("background_transmission", float(min(transmissions))),
-    )
-    if plan.out_dir is not None:
-        _write_rows_csv(plan.out_dir / SUMMARY_CSV,
-                        ["delta_r_hz", "transmission", "absorption_proxy"],
-                        [[_fmt(p.delta_r_hz), _fmt(p.transmission), _fmt(p.absorption_proxy)]
-                         for p in points])
-        xs = [p.delta_r_hz for p in points]
-        _write_plot_xy(plan.out_dir / PLOTDATA / "transmission.csv", xs, transmissions)
-        _write_plot_xy(plan.out_dir / PLOTDATA / "absorption_proxy.csv",
-                       xs, [p.absorption_proxy for p in points])
-    record = _finish_run(plan, (), summary, t0, started)
-    return points, record
+    spectrum = transmission_spectrum(plan.config, np.array(plan.grid))
+    return _finish_run(plan, spectrum, t0, started, points=())
 
 
 def fit_only(
@@ -698,12 +707,12 @@ def fit_only(
 def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
     """Rebuild a spectroscopy result from persisted traces and plan.cfg alone.
 
-    Every grid point goes through the routine the fresh run used, so the
-    stored numbers come back exactly and an excluded point is excluded
-    again.  Each point's traces are read from exactly the files that
-    plan.cfg's study settings name, and other files are ignored; a missing
-    trace file is an error, and so is a directory without run.json, which a
-    run writes only once it has finished.
+    Every grid point goes through the routine and the derive step the fresh
+    run used, so the stored numbers come back exactly and an excluded point
+    is excluded again.  Each point's traces are read from exactly the files
+    that plan.cfg's study settings name, and other files are ignored; a
+    missing trace file is an error, and so is a directory without run.json,
+    which a run writes only once it has finished.
     """
     run_dir = Path(run_dir)
     if not (run_dir / RUN_JSON).is_file():
@@ -713,14 +722,15 @@ def reanalyze_spectroscopy(run_dir: "Path | str") -> SpectroscopyResult:
         raise ConfigurationError(
             f"run directory holds a {loaded.plan_kind!r} study, not spectroscopy"
         )
+    plan = StudyPlan.from_loaded(loaded, loaded.plan_kind)
     points = []
-    for i, d in enumerate(loaded.study.delta_r_grid_hz):
+    for i, d in enumerate(plan.grid):
         try:
             traces = [read_trace_csv(_point_dir(run_dir, i) / name)
-                      for name in _trace_names(loaded.study)]
+                      for name in _trace_names(plan.study)]
         except FileNotFoundError as exc:
             raise OrchestrationError(f"point {i} has no trace file {exc.filename}") from exc
         points.append((i, float(d), traces))
-    return _spectroscopy_result(tuple(_analyze_points(
-        points, *default_windows(loaded.sequence, loaded.study), loaded.study.average_mode,
-    )))
+    records = _analyze_points(points, *default_windows(plan.sequence, plan.study),
+                              plan.study.average_mode)
+    return _derive_spectroscopy(plan, records)[0]

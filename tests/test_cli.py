@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -87,6 +88,90 @@ def test_dark_resonance_run(tmp_path, capsys):
     assert main(["dark-resonance", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "result.csv").is_file()
     assert "FWHM" in capsys.readouterr().out
+
+
+def test_dark_resonance_without_a_fwhm_exits_2_and_leaves_no_result(tmp_path, capsys):
+    # the grid starts at the peak, so the FWHM is undefined
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("[study]\ndark_resonance_grid_hz = lin:0:5000:11\n")
+    out = tmp_path / "dark"
+    assert main(["dark-resonance", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: FWHM undefined: "
+                            "transmission peak sits on the grid edge\n")
+    assert captured.out == ""
+    assert (out / "plan.cfg").is_file()
+    for name in ("result.csv", "run.json", "summary.csv"):
+        assert not (out / name).exists(), name
+
+
+def _result_values(out):
+    with open(out / "result.csv", newline="") as fh:
+        return {row["key"]: float(row["value"]) for row in csv.DictReader(fh)}
+
+
+def _expected_stdout(command, out):
+    """What a study prints, built from its result.csv and summary.csv alone."""
+    v = _result_values(out)
+    lines = []
+    if command == "spectroscopy":
+        with open(out / "summary.csv", newline="") as fh:
+            excluded = [row["excluded"] for row in csv.DictReader(fh)]
+        lines.append(f"spectroscopy: {excluded.count('0')} points, "
+                     f"{excluded.count('1')} excluded")
+        rows = [("input slope", f"{v['input_slope']:.6f} +- {v['input_slope_err']:.6f}"),
+                ("retrieved slope",
+                 f"{v['retrieved_slope']:.6f} +- {v['retrieved_slope_err']:.6f}"),
+                ("delta_f_ac", f"{v['delta_f_ac_hz']:.3f} +- {v['delta_f_ac_err_hz']:.3f} Hz")]
+    elif command == "dark-resonance":
+        rows = [("FWHM", f"{v['fwhm_hz'] / 1e3:.3f} kHz"),
+                ("peak at", f"{v['peak_delta_r_hz']:.1f} Hz"),
+                ("peak transmission", f"{v['peak_transmission']:.4f}")]
+    elif command == "control-sweep":
+        rows = [("slope", f"{v['slope_hz_per_intensity']:.4f} +- "
+                          f"{v['slope_err_hz_per_intensity']:.4f} Hz per I/I_sat"),
+                ("intercept", f"{v['intercept_hz']:.3f} +- {v['intercept_err_hz']:.3f} Hz"),
+                ("R^2", f"{v['r_squared']:.6f}")]
+    else:
+        rows = [("full-range slope", f"{v['full_slope_hz_per_intensity']:.4f} +- "
+                                     f"{v['full_slope_err_hz_per_intensity']:.4f} Hz per I/I_sat"),
+                ("full-range |t|", f"{abs(v['full_slope_t_statistic']):.3f}")]
+        if any(key.startswith("restricted_") for key in v):
+            rows += [("restricted slope", f"{v['restricted_slope_hz_per_intensity']:.4f} +- "
+                                          f"{v['restricted_slope_err_hz_per_intensity']:.4f}"),
+                     ("restricted |t|", f"{abs(v['restricted_slope_t_statistic']):.3f}")]
+    width = max(len(label) for label, _ in rows)
+    lines += [f"  {label:<{width}}  {value}" for label, value in rows]
+    return "\n".join(lines + [f"outputs in {out}", ""])
+
+
+# (CLI subcommand, [study] lines, whether the signal sweep has a restricted fit);
+# three repetitions keep the runs quick
+_PRINTED_STUDIES = [
+    ("spectroscopy", "", None),
+    ("dark-resonance", "", None),
+    ("control-sweep", "control_intensity_grid = 5.25, 11.55, 17.85, 21.0\n", None),
+    ("signal-sweep", "", True),
+    # only two intensities at or below I_C = 10.5
+    ("signal-sweep", "signal_intensity_grid = 1.05, 9.75, 14.1, 22.8\n", False),
+]
+
+
+@pytest.mark.parametrize("command, study, restricted", _PRINTED_STUDIES,
+                         ids=["spectroscopy", "dark-resonance", "control-sweep",
+                              "signal-sweep-restricted", "signal-sweep-full-only"])
+def test_every_printed_number_is_the_result_csv_value(tmp_path, capsys, command, study,
+                                                     restricted):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[study]\nrepetitions = 3\n{study}")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "5",
+                 "--no-traces"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == _expected_stdout(command, out)
+    if restricted is not None:
+        assert ("restricted" in stdout) is restricted
+        assert any(key.startswith("restricted_") for key in _result_values(out)) is restricted
 
 
 def test_bad_config_exits_1(tmp_path, capsys):

@@ -138,3 +138,23 @@ def test_nonblank_lines_counts_python_lines_with_text(tmp_path):
     (tmp_path / "sub" / "b.py").write_text("# comment\n")
     (tmp_path / "notes.txt").write_text("not code\n")
     assert equivalence.nonblank_lines(tmp_path) == 3
+
+
+def test_equal_stdout_passes_and_a_changed_line_is_reported():
+    printed = {
+        "spectroscopy": "spectroscopy: 9 points, 0 excluded\n  delta_f_ac  7000.123 +- 1.234 Hz\n"
+                        "outputs in {runs}/spectroscopy\n",
+        "init-config": "wrote {runs}/init-config/default.cfg\n",
+    }
+    assert equivalence.compare_stdout(printed, dict(printed)) == {}
+    changed = dict(printed, spectroscopy=printed["spectroscopy"].replace("7000.123", "7000.124"))
+    assert equivalence.compare_stdout(printed, changed) == {
+        "spectroscopy": "line 2: '  delta_f_ac  7000.123 +- 1.234 Hz' != "
+                        "'  delta_f_ac  7000.124 +- 1.234 Hz'"}
+
+
+def test_a_missing_or_extra_line_of_stdout_is_reported():
+    diff = equivalence.stdout_difference
+    assert diff("a\nb\n", "a\nb\n") is None
+    assert diff("a\nb\n", "a\n") == "line 2: 'b' != ''"
+    assert diff("a\n", "a") == "line 2: '' != None"

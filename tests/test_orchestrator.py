@@ -24,6 +24,7 @@ from lightstore.model import ConfigurationError, LightShiftModel
 from lightstore.orchestrator import (
     STUDY_KINDS,
     OrchestrationError,
+    PointRecord,
     RunRecord,
     StudyPlan,
     fit_only,
@@ -399,6 +400,86 @@ class TestSignalSweep:
         limit = loaded.config.control.intensity
         n_restricted = sum(1 for t in triples if t[0] <= limit)
         assert fits["restricted"].n_points == n_restricted
+
+
+class TestSweepDerive:
+    """The sweeps' derive step on hand-made points; nothing is simulated."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the derive step simulated a trace")
+
+        monkeypatch.setattr(orchestrator, "simulate_storage", refuse)
+
+    @staticmethod
+    def _points(xs, excluded=()):
+        """Sweep points with a shift of 100 Hz + 2 Hz per intensity; the excluded carry an error."""
+        return [PointRecord(index=i, x=x, error=f"FitError: point {i} made up") if i in excluded
+                else PointRecord(index=i, x=x, values={"delta_f_ac_hz": 100.0 + 2.0 * x,
+                                                       "delta_f_ac_err_hz": 1.0})
+                for i, x in enumerate(xs)]
+
+    @staticmethod
+    def _derive(loaded, kind, points, out_dir):
+        plan = StudyPlan.from_loaded(loaded, kind, seed_base=1, out_dir=out_dir)
+        return orchestrator._KINDS[kind].derive(plan, points)
+
+    def test_an_excluded_intensity_keeps_its_error_in_the_rows(self, loaded, tmp_path):
+        out = tmp_path / "never-written"
+        (triples, fit), summary, rows, series = self._derive(
+            loaded, "control_sweep", self._points([1.0, 2.0, 3.0, 4.0], excluded={1}), out)
+        assert rows == [
+            ["index", "intensity", "delta_f_ac_hz", "delta_f_ac_err_hz", "excluded", "error"],
+            ["0", "1.0", "102.0", "1.0", "0", ""],
+            ["1", "2.0", "", "", "1", "FitError: point 1 made up"],
+            ["2", "3.0", "106.0", "1.0", "0", ""],
+            ["3", "4.0", "108.0", "1.0", "0", ""],
+        ]
+        assert triples == [(1.0, 102.0, 1.0), (3.0, 106.0, 1.0), (4.0, 108.0, 1.0)]
+        assert dict(summary)["slope_hz_per_intensity"] == pytest.approx(2.0)
+        assert fit.intercept == pytest.approx(100.0)
+        assert list(series) == ["shift_points", "shift_line"]
+        assert not out.exists()
+
+    def test_without_an_output_directory_no_tables_are_built(self, loaded):
+        result, summary, rows, series = self._derive(
+            loaded, "control_sweep", self._points([1.0, 2.0, 3.0]), None)
+        assert (rows, series) == (None, None)
+        assert dict(summary)["slope_hz_per_intensity"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("kind", ["control_sweep", "signal_sweep"])
+    def test_fewer_than_three_usable_intensities_fail(self, loaded, kind):
+        points = self._points([1.0, 2.0, 3.0, 4.0], excluded={0, 2})
+        with pytest.raises(OrchestrationError,
+                           match=r"^only 2 of 4 sweep points usable; need >= 3$"):
+            self._derive(loaded, kind, points, None)
+
+    @pytest.mark.parametrize("fractions, excluded, n_restricted", [
+        ((0.25, 0.5, 1.0, 2.0), (), 3),    # I_S = I_C counts
+        ((0.5, 1.0, 1.5, 2.0), (), None),
+        ((0.25, 0.5, 1.0, 2.0, 3.0), (0,), None),  # an excluded point does not count
+        ((0.1, 0.2, 0.3, 0.4, 0.5), (), 5),
+    ])
+    def test_the_restricted_fit_needs_three_points_at_or_below_the_control_intensity(
+            self, loaded, tmp_path, fractions, excluded, n_restricted):
+        limit = loaded.config.control.intensity
+        points = self._points([f * limit for f in fractions], excluded=set(excluded))
+        (triples, fits), summary, _, series = self._derive(loaded, "signal_sweep", points,
+                                                           tmp_path / "never-written")
+        summary = dict(summary)
+        restricted_keys = [k for k in summary if k.startswith("restricted_")]
+        assert summary["control_intensity_limit"] == limit
+        assert fits["full"].n_points == len(triples) == len(fractions) - len(excluded)
+        if n_restricted is None:
+            assert list(fits) == ["full"] and restricted_keys == []
+            assert "shift_line_restricted" not in series
+        else:
+            assert list(fits) == ["full", "restricted"]
+            assert fits["restricted"].n_points == summary["restricted_n_points"] == n_restricted
+            assert len(restricted_keys) == 4
+            xs, _ = series["shift_line_restricted"]
+            assert xs[1] <= limit
 
 
 class TestDarkResonance:

@@ -11,7 +11,9 @@ only in its timing.  A trace file is compared by content: a parent's
 stem, and the pair is identical when the samples, ``sample_rate_hz`` and
 ``t0_s`` are bit-equal.  Every other file must be byte-identical.  For a CSV
 or trace file that is not, it prints the largest relative difference of any
-value.  Exits 1 on any difference.
+value.  It also compares what each command printed to stdout, with the
+runs' root replaced by ``{runs}``, and prints the first line that differs.
+Exits 1 on any difference.
 It also prints the non-blank line count of ``src/lightstore`` in both trees.
 
     python tools/equivalence.py --parent <rev>
@@ -26,6 +28,7 @@ import argparse
 import csv
 import glob
 import io
+import itertools
 import json
 import math
 import os
@@ -183,6 +186,24 @@ def compare_trees(dir_a: Path, dir_b: Path) -> Comparison:
     return result
 
 
+def stdout_difference(a: str, b: str) -> "str | None":
+    """None when two printed outputs are equal, else their first differing line.
+
+    Lines are numbered from 1; a line one output lacks shows as None.
+    """
+    for number, (line_a, line_b) in enumerate(
+            itertools.zip_longest(a.split("\n"), b.split("\n")), 1):
+        if line_a != line_b:
+            return f"line {number}: {line_a!r} != {line_b!r}"
+    return None
+
+
+def compare_stdout(stdout_a: dict[str, str], stdout_b: dict[str, str]) -> dict[str, str]:
+    """Command name -> first differing line, for each command of a whose stdout in b differs."""
+    diffs = {name: stdout_difference(text, stdout_b[name]) for name, text in stdout_a.items()}
+    return {name: diff for name, diff in diffs.items() if diff is not None}
+
+
 def nonblank_lines(package: Path) -> int:
     """Non-blank lines of every Python file under a package directory."""
     return sum(1 for path in package.rglob("*.py")
@@ -205,8 +226,12 @@ def _one_match(pattern: str) -> str:
     return matches[0]
 
 
-def run_studies(src: Path, out: Path, jobs: int) -> Path:
-    """Run STUDIES, then COMMANDS, with the package under src; returns the runs' root."""
+def run_studies(src: Path, out: Path, jobs: int) -> tuple[Path, dict[str, str]]:
+    """Run STUDIES, then COMMANDS, with the package under src.
+
+    Returns the runs' root and each command's stdout, in which the root
+    reads ``{runs}``.
+    """
     runs = out / "runs"
     env = dict(os.environ, PYTHONPATH=str(src))
     argvs = []
@@ -218,6 +243,7 @@ def run_studies(src: Path, out: Path, jobs: int) -> Path:
             argv += ["--config", str(config)]
         argvs.append((name, argv))
     argvs += [(name, [arg.format(runs=runs) for arg in args]) for name, args in COMMANDS]
+    stdout = {}
     for name, argv in argvs:
         argv = [_one_match(arg) if "*" in arg else arg for arg in argv]
         (runs / name).mkdir(parents=True, exist_ok=True)
@@ -225,7 +251,8 @@ def run_studies(src: Path, out: Path, jobs: int) -> Path:
                               capture_output=True, text=True, env=env, cwd=out)
         if proc.returncode != 0:
             raise RuntimeError(f"{name} under {src} exited {proc.returncode}: {proc.stderr}")
-    return runs
+        stdout[name] = proc.stdout.replace(str(runs), "{runs}")
+    return runs, stdout
 
 
 def main(argv=None) -> int:
@@ -240,14 +267,19 @@ def main(argv=None) -> int:
               f"child {nonblank_lines(REPO / 'src' / 'lightstore')}")
         equal = True
         for jobs in JOBS:
-            trees = {}
+            trees, stdout = {}, {}
             for side, src in (("parent", root / "parent" / "src"), ("child", REPO / "src")):
                 out = root / f"{side}-jobs{jobs}"
                 out.mkdir()
-                trees[side] = run_studies(src, out, jobs)
+                trees[side], stdout[side] = run_studies(src, out, jobs)
             result = compare_trees(trees["parent"], trees["child"])
+            printed = compare_stdout(stdout["parent"], stdout["child"])
             print(f"jobs {jobs}: {len(result.identical)} files identical, "
-                  f"{len(result.differing)} differ, {len(result.unmatched)} in one tree only")
+                  f"{len(result.differing)} differ, {len(result.unmatched)} in one tree only; "
+                  f"stdout of {len(stdout['parent']) - len(printed)} of "
+                  f"{len(stdout['parent'])} commands identical")
+            for name, diff in printed.items():
+                print(f"  stdout differs  {name}  {diff}")
             for rel, worst in result.differing.items():
                 print(f"  differs  {rel}  max relative |delta| {worst:.3g}")
             for rel in result.unmatched:
@@ -255,7 +287,7 @@ def main(argv=None) -> int:
             if result.differing:
                 print(f"  max relative |delta| of any differing cell: "
                       f"{max(result.differing.values()):.3g}")
-            equal = equal and result.equal
+            equal = equal and result.equal and not printed
     print(f"parent {args.parent}: " + ("equivalent" if equal else "NOT equivalent"))
     return 0 if equal else 1
 
