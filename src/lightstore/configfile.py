@@ -53,6 +53,12 @@ DEFAULT_DURATIONS_S = {
 }
 
 
+def check_window(name: str, window) -> None:
+    """Raise ConfigurationError, naming the window, unless it is two finite times t_a < t_b."""
+    if not (len(window) == 2 and np.all(np.isfinite(window)) and window[0] < window[1]):
+        raise ConfigurationError(f"{name} must be two finite times t_a < t_b, got {window!r}")
+
+
 @dataclass(frozen=True)
 class StudyDefaults:
     """Grids, repetition count and analysis windows for the canned studies."""
@@ -74,6 +80,9 @@ class StudyDefaults:
             raise ConfigurationError(f"unknown average_mode {self.average_mode!r}")
         if not self.guard_s >= 0.0:
             raise ConfigurationError(f"guard_s must be >= 0, got {self.guard_s!r}")
+        for name in ("input_window_s", "retrieved_window_s"):
+            if getattr(self, name) is not None:
+                check_window(name, getattr(self, name))
         for name in ("delta_r_grid_hz", "dark_resonance_grid_hz",
                      "control_intensity_grid", "signal_intensity_grid"):
             grid = getattr(self, name)

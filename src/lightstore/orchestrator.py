@@ -2,12 +2,13 @@
 
 Runs the four canonical studies (dark resonance spectrum, beat-frequency
 spectroscopy over a Raman-detuning grid, retrieval-intensity sweep, input
-signal-intensity sweep) plus stand-alone fitting of trace files.  Every run
-writes the same layout: a plan.cfg snapshot that reloads to the exact
-configuration, per-point traces (binary .npz files, see
-``storage.write_trace_csv``) and fit tables, a summary.csv, a result.csv of
-scalar outcomes, two-column plotdata files and a run.json of metadata,
-written last as the mark of a finished run.  Every study runs between
+signal-intensity sweep) plus stand-alone fitting of a trace file, a run's
+.npz or a measured trace CSV.  Every run writes the same layout: a plan.cfg
+snapshot that reloads to the exact configuration, per-point traces (binary
+.npz files, see ``storage.write_trace_csv``; no run writes a CSV trace) and
+fit tables, a summary.csv, a result.csv of scalar outcomes, two-column
+plotdata files and a run.json of metadata, written last as the mark of a
+finished run.  Every study runs between
 ``_start_run`` (kind check, then removal of what an earlier run wrote
 there, RUN_OUTPUTS and points/<i>) and ``_finish_run``; any other file in
 the directory is left alone.
@@ -53,6 +54,7 @@ from .configfile import (
     AVERAGE_TRACES,
     LoadedExperiment,
     StudyDefaults,
+    check_window,
     dump_config,
     load_config,
 )
@@ -130,6 +132,8 @@ class StudyPlan:
             raise ConfigurationError(f"unknown study kind {self.kind!r}")
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        if self.kind != "dark_resonance":
+            default_windows(self.sequence, self.study)
 
     @classmethod
     def from_loaded(
@@ -189,18 +193,22 @@ class RunRecord:
 def default_windows(
     sequence: PulseSequence, study: StudyDefaults
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Fit windows: full input/readout epochs minus the post-edge guard."""
-    if study.input_window_s is not None:
-        w_in = study.input_window_s
-    else:
-        seg = sequence.phase("input")
-        w_in = (seg.t_start + study.guard_s, seg.t_end)
-    if study.retrieved_window_s is not None:
-        w_ret = study.retrieved_window_s
-    else:
-        seg = sequence.phase("readout")
-        w_ret = (seg.t_start + study.guard_s, seg.t_end)
-    return w_in, w_ret
+    """Fit windows: full input/readout epochs minus the post-edge guard.
+
+    A guard that reaches the end of its phase leaves no window to fit, a
+    ConfigurationError naming guard_s and the phase.
+    """
+    windows = []
+    for phase, window in (("input", study.input_window_s), ("readout", study.retrieved_window_s)):
+        if window is None:
+            seg = sequence.phase(phase)
+            if not seg.t_start + study.guard_s < seg.t_end:
+                raise ConfigurationError(
+                    f"guard_s = {study.guard_s!r} s leaves no {phase} window: "
+                    f"the {phase} phase lasts {seg.duration:.6g} s")
+            window = (seg.t_start + study.guard_s, seg.t_end)
+        windows.append(window)
+    return tuple(windows)
 
 
 def _weighted_mean(fits: "list[BeatFitResult]") -> tuple[float, float]:
@@ -692,8 +700,11 @@ def fit_only(
     """Fit an externally recorded (or exported) trace file, a .csv or a run's .npz.
 
     The fits.csv written to out_dir uses the same schema as the synthetic
-    studies, with window id "fit".
+    studies, with window id "fit".  A window that is not two finite times
+    t_a < t_b is a ConfigurationError, raised before the trace is read.
     """
+    if window is not None:
+        check_window("window", window)
     trace = read_trace_csv(trace_path)
     if window is None:
         window = (trace.t0_s, trace.t0_s + trace.duration_s)

@@ -6,6 +6,10 @@ bare Zeeman splitting while stored, and re-emerges on readout at the
 retrieved beat frequency (splitting + differential light shift of the
 retrieval drive + geometric pulling).  No spatial propagation is computed;
 the observables of interest are carried entirely by this phase bookkeeping.
+
+Traces are written only as binary .npz files, the format of run
+directories.  A trace CSV, the interchange format of measured traces, is
+read but never written.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,7 @@ __all__ = [
 
 
 class TraceParseError(ValueError):
-    """Trace file does not conform to the CSV or the .npz trace format."""
+    """A trace file that fit reads is not a valid .npz trace or trace CSV."""
 
 
 def mixing_angle(gn_rad: float, omega_c_rad: float) -> float:
@@ -232,48 +234,33 @@ NPZ_KEYS = ("samples", "sample_rate_hz", "t0_s")
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
 
 
-@functools.lru_cache(maxsize=4)
-def _time_cells(t0_s: float, sample_rate_hz: float, n_samples: int) -> tuple[str, ...]:
-    """The "t," cells of PhotodiodeTrace.times in a trace CSV, which a run's traces share."""
-    times = t0_s + np.arange(n_samples) / sample_rate_hz
-    return tuple([f"{t!r}," for t in times.tolist()])
-
-
 def write_trace_csv(trace: PhotodiodeTrace, path: "str | Path") -> None:
-    """Write a trace file: binary .npz for a path ending in .npz, else CSV.
+    """Write a trace as a binary .npz file; any other suffix raises ValueError.
 
     The .npz is NumPy's uncompressed archive of exactly the NPZ_KEYS arrays:
-    the float64 samples and the 0-d float64 sample_rate_hz and t0_s; runs
-    persist their traces this way.  The CSV, the interchange format of
-    measured traces, has one comment header with the sampling metadata, then
-    time,signal rows.  Both are byte-deterministic.  The name predates the
-    binary format; the benchmark's tracer wraps this function by name.
+    the float64 samples and the 0-d float64 sample_rate_hz and t0_s, and two
+    writes of one trace are byte-identical.  Runs persist their traces this
+    way.  The name predates the binary format; the benchmark's tracer wraps
+    this function by name.
     """
-    if Path(path).suffix == ".npz":
-        with open(path, "wb") as fh:
-            np.savez(fh, samples=trace.samples, sample_rate_hz=np.float64(trace.sample_rate_hz),
-                     t0_s=np.float64(trace.t0_s))
-        return
-    cells = _time_cells(trace.t0_s, trace.sample_rate_hz, trace.n_samples)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r} t0_s={trace.t0_s!r}\n")
-        fh.write("".join([f"{t}{v!r}\r\n" for t, v in zip(cells, trace.samples.tolist())]))
+    if Path(path).suffix != ".npz":
+        raise ValueError(f"trace files are written as .npz, got {str(path)!r}")
+    with open(path, "wb") as fh:
+        np.savez(fh, samples=trace.samples, sample_rate_hz=np.float64(trace.sample_rate_hz),
+                 t0_s=np.float64(trace.t0_s))
 
 
 def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:
-    """Read a trace file that write_trace_csv wrote, or a measured trace CSV.
+    """Read a trace file: the .npz a run wrote, or a measured trace CSV.
 
     A path ending in .npz is read as the binary format, without unpickling
     anything; a bad file raises TraceParseError naming the file and what is
-    wrong.  Any other path is parsed as CSV, and TraceParseError names the
-    offending line, a byte that is not UTF-8 included.  The name predates
-    the binary format; the benchmark's tracer wraps this function by name.
-
-    The CSV signal cells, everything after each row's first comma, are
-    parsed in one pass.  That pass fails exactly when a row has no comma,
-    more than one comma or a bad or non-finite signal value, or is blank;
-    the rows are then read one by one, which skips blank rows and names the
-    first bad line.  The time column is never parsed.
+    wrong.  Any other path is parsed as CSV: one comment header with the
+    sampling metadata, then time,signal rows, of which only the signal
+    column is read and blank rows are skipped.  TraceParseError names the
+    first offending line, a byte that is not UTF-8 included.  The name
+    predates the binary format; the benchmark's tracer wraps this function
+    by name.
     """
     if Path(path).suffix == ".npz":
         return _read_trace_npz(path)
@@ -299,24 +286,6 @@ def read_trace_csv(path: "str | Path") -> PhotodiodeTrace:
         t0 = float(match.group(2))
     except ValueError as exc:
         raise TraceParseError(f"line 1: bad header value: {exc}") from exc
-    try:
-        values = np.array(
-            list(map(itemgetter(2), map(str.partition, lines[1:], repeat(",")))), dtype=float
-        )
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite signal value")
-    except ValueError:
-        values = np.array(_read_rows(lines))
-    if not values.size:
-        raise TraceParseError("line 2: trace has no samples")
-    try:
-        return PhotodiodeTrace(t0_s=t0, sample_rate_hz=fs, samples=values)
-    except ValueError as exc:
-        raise TraceParseError(f"line 1: {exc}") from exc
-
-
-def _read_rows(lines: list[str]) -> list[float]:
-    """Signal values of the rows after the header, skipping blank rows."""
     values = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -330,7 +299,12 @@ def _read_rows(lines: list[str]) -> list[float]:
             raise TraceParseError(f"line {lineno}: bad signal value: {exc}") from exc
         if not math.isfinite(values[-1]):
             raise TraceParseError(f"line {lineno}: non-finite signal value {parts[1]!r}")
-    return values
+    if not values:
+        raise TraceParseError("line 2: trace has no samples")
+    try:
+        return PhotodiodeTrace(t0_s=t0, sample_rate_hz=fs, samples=values)
+    except ValueError as exc:
+        raise TraceParseError(f"line 1: {exc}") from exc
 
 
 def _read_trace_npz(path: "str | Path") -> PhotodiodeTrace:

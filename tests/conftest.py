@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,20 @@ def sequence(loaded):
 @pytest.fixture()
 def noiseless(loaded):
     return replace(loaded, config=replace(loaded.config, trace_noise_sigma=0.0))
+
+
+def _write_csv_trace(trace, path):
+    """Write a trace CSV as README specifies it: a header, then one time,signal row per sample."""
+    rows = zip(trace.times().tolist(), trace.samples.tolist())
+    Path(path).write_text(f"# sample_rate_hz={trace.sample_rate_hz!r} t0_s={trace.t0_s!r}\n"
+                          + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+    return path
+
+
+@pytest.fixture(scope="session")
+def write_csv_trace():
+    """write_csv_trace(trace, path) writes a measured-trace CSV, the input format of fit."""
+    return _write_csv_trace
 
 
 @pytest.fixture()

@@ -11,7 +11,7 @@ import lightstore
 from lightstore.cli import JOBS_ENV_VAR, main
 from lightstore.configfile import default_config, dump_config
 from lightstore.orchestrator import OrchestrationError, reanalyze_spectroscopy
-from lightstore.storage import PhotodiodeTrace, read_trace_csv, write_trace_csv
+from lightstore.storage import PhotodiodeTrace, read_trace_csv
 
 
 @pytest.fixture()
@@ -349,12 +349,11 @@ def test_fit_of_a_file_that_is_not_utf8_is_a_trace_parse_error(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
-def test_fit_reads_a_run_trace_as_its_csv(tmp_path, capsys):
+def test_fit_reads_a_run_trace_as_its_csv(tmp_path, capsys, write_csv_trace):
     out = tmp_path / "run"
     assert main(["spectroscopy", "--out", str(out), "--jobs", "1"]) == 0
     npz = out / "points" / "0" / "trace.npz"
-    csv_path = tmp_path / "trace.csv"
-    write_trace_csv(read_trace_csv(npz), csv_path)
+    csv_path = write_csv_trace(read_trace_csv(npz), tmp_path / "trace.csv")
     window = ["--window", "8.7e-05", "1.45e-04", "--envelope"]
     printed = []
     for name, path in (("npz", npz), ("csv", csv_path)):
@@ -365,14 +364,13 @@ def test_fit_reads_a_run_trace_as_its_csv(tmp_path, capsys):
     assert (tmp_path / "npz" / "fits.csv").read_bytes() == (tmp_path / "csv" / "fits.csv").read_bytes()
 
 
-def test_fit_subcommand(tmp_path, capsys):
+def test_fit_subcommand(tmp_path, capsys, write_csv_trace):
     fs = 2.0e7
     n = 1200
     t = np.arange(n) / fs
     rng = np.random.default_rng(1)
     v = 1.0 + 2.5 * np.sin(2 * np.pi * 685.8e3 * t + 0.3) + rng.normal(0, 0.05, n)
-    path = tmp_path / "tone.csv"
-    write_trace_csv(PhotodiodeTrace(0.0, fs, v), path)
+    path = write_csv_trace(PhotodiodeTrace(0.0, fs, v), tmp_path / "tone.csv")
     out = tmp_path / "fitout"
     code = main(["fit", str(path), "--out", str(out), "--f-guess", "686e3"])
     assert code == 0
@@ -381,14 +379,53 @@ def test_fit_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("f_guess", ["nan", "inf", "1e9"])
-def test_fit_rejects_a_seed_outside_the_band_below_nyquist(tmp_path, capsys, f_guess):
+def test_fit_rejects_a_seed_outside_the_band_below_nyquist(tmp_path, capsys, f_guess,
+                                                           write_csv_trace):
     fs = 2.0e7
     t = np.arange(1200) / fs
-    path = tmp_path / "tone.csv"
-    write_trace_csv(PhotodiodeTrace(0.0, fs, 1.0 + 2.5 * np.sin(2 * np.pi * 685.8e3 * t)), path)
+    path = write_csv_trace(PhotodiodeTrace(0.0, fs, 1.0 + 2.5 * np.sin(2 * np.pi * 685.8e3 * t)),
+                           tmp_path / "tone.csv")
     out = tmp_path / "fitout"
     assert main(["fit", str(path), "--out", str(out), "--f-guess", f_guess]) == 1
     assert "f_guess" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", [("1.45e-04", "8.7e-05"), ("1e-4", "1e-4"), ("nan", "1e-4")])
+def test_fit_window_that_is_not_t_a_before_t_b_exits_1(tmp_path, capsys, write_csv_trace,
+                                                       window):
+    fs = 2.0e7
+    t = np.arange(4000) / fs
+    path = write_csv_trace(PhotodiodeTrace(0.0, fs, 1.0 + 2.5 * np.sin(2 * np.pi * 685.8e3 * t)),
+                           tmp_path / "tone.csv")
+    out = tmp_path / "fitout"
+    assert main(["fit", str(path), "--out", str(out), "--window", *window]) == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: window must be two finite times t_a < t_b, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectroscopy", "control-sweep"])
+@pytest.mark.parametrize("line, message", [
+    ("input_window_s = 8.0e-5, 4.0e-5",
+     "input_window_s must be two finite times t_a < t_b, got (8e-05, 4e-05)"),
+    ("retrieved_window_s = 1.0e-4, nan",
+     "retrieved_window_s must be two finite times t_a < t_b, got (0.0001, nan)"),
+    ("guard_s = 1.0", "guard_s = 1.0 s leaves no input window: the input phase lasts 5e-05 s"),
+    ("input_window_s = 3.3e-5, 7.5e-5\nguard_s = 7.0e-5",
+     "guard_s = 7e-05 s leaves no readout window: the readout phase lasts 6e-05 s"),
+])
+def test_a_window_no_trace_can_fill_exits_1_before_any_point(tmp_path, capsys, monkeypatch,
+                                                             command, line, message):
+    def no_synthesis(*args):
+        raise AssertionError("a trace was synthesized")
+
+    monkeypatch.setattr("lightstore.orchestrator.simulate_storage", no_synthesis)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[analysis]\n{line}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 

@@ -153,6 +153,15 @@ def test_analysis_window_override(tmp_path):
     assert loaded.study.retrieved_window_s is None
 
 
+@pytest.mark.parametrize("window", [(8e-5, 4e-5), (5e-5, 5e-5), (1e-4, float("nan")),
+                                    (float("-inf"), 1e-4), (1e-5, 2e-5, 3e-5)])
+@pytest.mark.parametrize("key", ["input_window_s", "retrieved_window_s"])
+def test_a_window_that_is_not_t_a_before_t_b_is_rejected(loaded, key, window):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{key} must be two finite times t_a < t_b, got "):
+        replace(loaded.study, **{key: window})
+
+
 def test_bad_average_mode_rejected(tmp_path):
     path = tmp_path / "m.cfg"
     path.write_text("[study]\naverage_mode = sometimes\n")

@@ -60,38 +60,11 @@ def test_a_changed_cell_and_a_missing_file_are_reported(two_runs):
     assert result.unmatched == ["points/0/trace.npz"]
 
 
-def _as_csv_traces(run_dir):
-    """Rewrite a run's .npz traces as the CSV traces an older tree wrote."""
-    for path in run_dir.glob("points/*/trace*.npz"):
-        write_trace_csv(read_trace_csv(path), path.with_suffix(".csv"))
-        path.unlink()
-
-
-def test_csv_traces_pair_with_npz_traces_by_content(two_runs):
-    a, b = two_runs
-    _as_csv_traces(a)
-    result = equivalence.compare_trees(a, b)
-    assert result.equal
-    assert "points/0/trace.{csv,npz}" in result.identical
-    assert len(result.identical) == len(list(b.rglob("*.*")))
-
-
 def _change_one_sample(path):
     trace = read_trace_csv(path)
     samples = trace.samples.copy()
     samples[100] *= 1.0 + 1e-9
     write_trace_csv(replace(trace, samples=samples), path)
-
-
-def test_a_changed_sample_of_a_trace_pair_is_reported(two_runs):
-    a, b = two_runs
-    _as_csv_traces(a)
-    _change_one_sample(b / "points" / "3" / "trace.npz")
-    (a / "points" / "4" / "trace.csv").rename(a / "points" / "4" / "trace_rep0.csv")
-    result = equivalence.compare_trees(a, b)
-    assert list(result.differing) == ["points/3/trace.{csv,npz}"]
-    assert result.differing["points/3/trace.{csv,npz}"] == pytest.approx(1e-9, rel=1e-3)
-    assert result.unmatched == ["points/4/trace.npz", "points/4/trace_rep0.csv"]
 
 
 def test_a_changed_sample_between_npz_traces_is_reported(two_runs):
@@ -102,26 +75,23 @@ def test_a_changed_sample_between_npz_traces_is_reported(two_runs):
     assert result.differing["points/3/trace.npz"] == pytest.approx(1e-9, rel=1e-3)
 
 
-def test_trace_values_read_both_formats_bit_equal(two_runs):
+def test_trace_values_read_npz_bit_equal(two_runs):
     a, _ = two_runs
     npz = a / "points" / "0" / "trace.npz"
     trace = read_trace_csv(npz)
-    write_trace_csv(trace, a / "trace.csv")
-    for path in (npz, a / "trace.csv"):
-        values = equivalence.trace_values(path)
-        assert values[:2].tolist() == [trace.sample_rate_hz, trace.t0_s]
-        assert values[2:].tobytes() == trace.samples.tobytes()
+    values = equivalence.trace_values(npz)
+    assert values[:2].tolist() == [trace.sample_rate_hz, trace.t0_s]
+    assert values[2:].tobytes() == trace.samples.tobytes()
 
 
-def test_the_fit_command_takes_the_trace_its_tree_wrote(tmp_path):
-    [fit_args] = [args for name, args in equivalence.COMMANDS if name == "fit"]
-    pattern = fit_args[1].format(runs=tmp_path)
-    point = tmp_path / "spectroscopy-average-traces" / "points" / "0"
-    point.mkdir(parents=True)
-    for name in ("trace.npz", "trace.csv"):
-        (point / name).write_text("")
-        assert equivalence._one_match(pattern) == str(point / name)
-        (point / name).unlink()
+def test_the_csv_copy_reads_back_bit_equal(two_runs, write_csv_trace):
+    a, _ = two_runs
+    trace = read_trace_csv(a / "points" / "0" / "trace.npz")
+    equivalence.write_csv_copy(a / "points" / "0" / "trace.npz", a / "copy.csv")
+    back = read_trace_csv(a / "copy.csv")
+    assert back.samples.tobytes() == trace.samples.tobytes()
+    assert (back.sample_rate_hz, back.t0_s) == (trace.sample_rate_hz, trace.t0_s)
+    assert (a / "copy.csv").read_bytes() == write_csv_trace(trace, a / "t.csv").read_bytes()
 
 
 def test_cells_that_do_not_line_up_differ_infinitely():

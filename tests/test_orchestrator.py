@@ -152,6 +152,15 @@ class TestRunSpectroscopy:
             assert (out / "points" / str(i) / "trace.npz").is_file()
             assert (out / "points" / str(i) / "fits.csv").is_file()
 
+    def test_traces_are_persisted_as_npz_alone(self, loaded, tmp_path):
+        study = replace(loaded.study, delta_r_grid_hz=(-5e3, 0.0, 5e3), repetitions=2,
+                        average_mode=FIT_THEN_AVERAGE)
+        out = tmp_path / "run"
+        run_spectroscopy(StudyPlan.from_loaded(replace(loaded, study=study), "spectroscopy",
+                                               seed_base=3, out_dir=out))
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("trace*")) == [
+            f"points/{i}/trace_rep{k}.npz" for i in range(3) for k in range(2)]
+
     def test_no_traces_flag(self, loaded, tmp_path):
         out = tmp_path / "run"
         plan = StudyPlan.from_loaded(
@@ -503,12 +512,11 @@ class TestDarkResonance:
 
 
 class TestFitOnly:
-    def test_round_trip_matches_in_memory(self, loaded, tmp_path):
+    def test_round_trip_matches_in_memory(self, loaded, tmp_path, write_csv_trace):
         from lightstore.analysis import fit_beat
 
         trace = simulate_storage(loaded.config, loaded.sequence)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
+        path = write_csv_trace(trace, tmp_path / "trace.csv")
         seg = loaded.sequence.phase("input")
         window = (seg.t_start + loaded.study.guard_s, seg.t_end)
         direct = fit_beat(trace, window, with_envelope=False)
@@ -517,7 +525,7 @@ class TestFitOnly:
         assert refit.f_b_err_hz == direct.f_b_err_hz
         assert (tmp_path / "out" / "fits.csv").is_file()
 
-    def test_known_tone_recovered(self, tmp_path):
+    def test_known_tone_recovered(self, tmp_path, write_csv_trace):
         from lightstore.storage import PhotodiodeTrace
 
         fs = 2.0e7
@@ -525,8 +533,7 @@ class TestFitOnly:
         t = np.arange(n) / fs
         rng = np.random.default_rng(3)
         v = 0.5 + 2.0 * np.sin(2 * np.pi * 685.8e3 * t + 0.2) + rng.normal(0, 0.05, n)
-        path = tmp_path / "tone.csv"
-        write_trace_csv(PhotodiodeTrace(0.0, fs, v), path)
+        path = write_csv_trace(PhotodiodeTrace(0.0, fs, v), tmp_path / "tone.csv")
         fit = fit_only(path, tmp_path / "out")
         assert abs(fit.f_b_hz - 685.8e3) <= 3.0 * fit.f_b_err_hz
 
@@ -606,6 +613,13 @@ class TestStudyPlan:
     def test_bad_jobs_rejected(self, loaded):
         with pytest.raises(ConfigurationError, match="jobs"):
             StudyPlan.from_loaded(loaded, "spectroscopy", jobs=0)
+
+    def test_a_guard_that_fills_its_phase_rejects_only_the_kinds_that_fit(self, loaded):
+        guarded = replace(loaded, study=replace(loaded.study, guard_s=1.0))
+        StudyPlan.from_loaded(guarded, "dark_resonance")
+        for kind in ("spectroscopy", "control_sweep", "signal_sweep"):
+            with pytest.raises(ConfigurationError, match="^guard_s = 1.0 s leaves no input "):
+                StudyPlan.from_loaded(guarded, kind)
 
     def test_seed_defaults_to_config(self, loaded):
         plan = StudyPlan.from_loaded(loaded, "spectroscopy")

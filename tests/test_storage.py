@@ -202,30 +202,30 @@ class TestSimulateStorage:
 
 
 class TestTraceCsv:
-    def test_round_trip_identical(self, loaded, tmp_path):
+    def test_round_trip_identical(self, loaded, tmp_path, write_csv_trace):
         trace = simulate_storage(loaded.config, loaded.sequence)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        back = read_trace_csv(path)
+        back = read_trace_csv(write_csv_trace(trace, tmp_path / "trace.csv"))
         assert np.array_equal(back.samples, trace.samples)
         assert back.sample_rate_hz == trace.sample_rate_hz
         assert back.t0_s == trace.t0_s
 
-    def test_bytes_match_row_by_row_format(self, tmp_path):
-        # the cached time cells give the bytes of formatting each row whole,
-        # when t0 or the sample rate changes and again after a cache hit
-        rng = np.random.default_rng(3)
-        storage._time_cells.cache_clear()
-        for t0, fs in ((0.0, 5e6), (-1.25e-5, 5e6), (0.0, 3.3e6), (0.0, 5e6)):
-            trace = PhotodiodeTrace(t0, fs, rng.normal(1.0, 0.3, 2900))
-            path = tmp_path / "trace.csv"
-            write_trace_csv(trace, path)
-            rows = zip(trace.times().tolist(), trace.samples.tolist())
-            expected = f"# sample_rate_hz={fs!r} t0_s={t0!r}\n" + "".join(
-                f"{t!r},{v!r}\r\n" for t, v in rows
-            )
-            assert path.read_bytes() == expected.encode()
-        assert storage._time_cells.cache_info().hits == 1
+    @settings(max_examples=60)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.sampled_from(["\n", "\r\n"]), st.data())
+    def test_any_finite_samples_read_back_bit_equal(self, tmp_path_factory, samples, newline, data):
+        rows = [f"{k * 2e-7!r},{v!r}" for k, v in enumerate(samples)]
+        for _ in range(data.draw(st.integers(0, 3), label="blank rows")):
+            rows.insert(data.draw(st.integers(0, len(rows)), label="at"), "")
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        path.write_bytes(newline.join(["# sample_rate_hz=5000000.0 t0_s=0.0", *rows, ""]).encode())
+        back = read_trace_csv(path)
+        assert back.samples.tobytes() == np.array(samples, dtype=np.float64).tobytes()
+
+    def test_the_writer_refuses_a_csv_path(self, loaded, tmp_path):
+        trace = simulate_storage(loaded.config, loaded.sequence)
+        with pytest.raises(ValueError, match="trace files are written as .npz"):
+            write_trace_csv(trace, tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -250,11 +250,11 @@ class TestTraceCsv:
         ("1.0 2.0,3.0\n", [3.0]),
         # the time column is never parsed
         ("abc,1.0\n2e-7,2.0\n", [1.0, 2.0]),
-        # counts that balance across rows: three cells, then an empty time cell
+        # a space in one time cell, an empty time cell in the next
         ("1 2,3\n,4\n", [3.0, 4.0]),
         ("0.0,1.0\n\n  \n4e-7,2.0\n", [1.0, 2.0]),
     ])
-    def test_rows_the_one_pass_parse_cannot_take_read_row_by_row(self, tmp_path, rows, samples):
+    def test_signal_cells_are_read_and_blank_rows_skipped(self, tmp_path, rows, samples):
         path = tmp_path / "t.csv"
         path.write_text("# sample_rate_hz=5000000.0 t0_s=0.0\n" + rows)
         assert read_trace_csv(path).samples.tolist() == samples
@@ -262,7 +262,7 @@ class TestTraceCsv:
     @pytest.mark.parametrize("rows, message", [
         ("0.0,1.0\n2e-7,oops\n",
          "line 3: bad signal value: could not convert string to float: 'oops'"),
-        # one cell, then three: the comma count equals the row count
+        # the first bad row is named: one cell, then three
         ("1\n2,3,4\n", "line 2: expected 'time_s,signal', got '1'"),
         ("0.0,1.0\n2e-7,2.0,\n", "line 3: expected 'time_s,signal', got '2e-7,2.0,'"),
     ])

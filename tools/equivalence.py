@@ -3,30 +3,30 @@
 Runs five studies with seed base 12345 through the command line of the
 working tree and of a parent revision, at jobs 1 and 2, every run in its
 own subprocess: spectroscopy in both average modes, the control sweep, the
-signal sweep and the dark resonance.  After them it runs ``init-config`` and
-``fit`` on the trace file that the first study of the same tree wrote.  Then
-it compares the two trees of outputs file by file.  ``run.json`` may differ
-only in its timing.  A trace file is compared by content: a parent's
-``points/.../trace*.csv`` pairs with a child's ``trace*.npz`` of the same
-stem, and the pair is identical when the samples, ``sample_rate_hz`` and
-``t0_s`` are bit-equal.  Every other file must be byte-identical.  For a CSV
-or trace file that is not, it prints the largest relative difference of any
-value.  It also compares what each command printed to stdout, with the
-runs' root replaced by ``{runs}``, and prints the first line that differs.
+signal sweep and the dark resonance.  After them it writes a CSV copy of
+the first study's ``points/0/trace.npz`` with NumPy alone, in the trace CSV
+format of the README, and runs ``init-config``, then ``fit`` on the
+``.npz`` and on the CSV copy.  Then it compares the two trees of outputs
+file by file.  ``run.json`` may differ only in its timing; every other
+file must be byte-identical.  For a CSV or ``.npz`` trace file that is
+not, it prints the largest relative difference of any value.
+It also compares what each command printed to stdout, with the runs' root
+replaced by ``{runs}``, and prints the first line that differs.
 Exits 1 on any difference.
 It also prints the non-blank line count of ``src/lightstore`` in both trees.
 
     python tools/equivalence.py --parent <rev>
 
-The parent is exported with ``git archive`` into a temporary directory, so
-only the local repository is read and no worktree is left registered.
+The parent must write its run traces as ``.npz``, as every revision from
+c259e5b on does.  It is exported with ``git archive`` into a temporary
+directory, so only the local repository is read and no worktree is left
+registered.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import glob
 import io
 import itertools
 import json
@@ -37,7 +37,7 @@ import sys
 import tarfile
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 import numpy as np
 
@@ -54,13 +54,16 @@ STUDIES = (
     ("signal-sweep", "signal-sweep", None),
     ("dark-resonance", "dark-resonance", None),
 )
-# (output directory, CLI arguments with {runs} for the runs' root), run after
-# STUDIES; an argument with a * is the one file of its tree that it matches.
-# The fit window is the guarded readout epoch of the default sequence.
+# The trace that fit reads, as .npz and as the CSV copy this tool writes of it
+FIT_TRACE = "spectroscopy-average-traces/points/0/trace.npz"
+CSV_COPY = "fit-csv/trace.csv"
+# The guarded readout epoch of the default sequence
+FIT_ARGS = ("--window", "8.7e-05", "1.45e-04", "--envelope")
+# (output directory, CLI arguments with {runs} for the runs' root), run after STUDIES
 COMMANDS = (
     ("init-config", ("init-config", "{runs}/init-config/default.cfg")),
-    ("fit", ("fit", "{runs}/spectroscopy-average-traces/points/0/trace.*", "--out",
-             "{runs}/fit", "--window", "8.7e-05", "1.45e-04", "--envelope")),
+    ("fit", ("fit", f"{{runs}}/{FIT_TRACE}", "--out", "{runs}/fit", *FIT_ARGS)),
+    ("fit-csv", ("fit", f"{{runs}}/{CSV_COPY}", "--out", "{runs}/fit-csv", *FIT_ARGS)),
 )
 
 
@@ -68,12 +71,12 @@ COMMANDS = (
 class Comparison:
     """Outcome of comparing two trees of run directories."""
 
-    # relative paths; a trace pair as points/<i>/trace.{csv,npz}
+    # relative paths
     identical: list[str] = field(default_factory=list)
     # relative path -> largest relative |difference| of its values (inf when
     # the files do not line up value by value)
     differing: dict[str, float] = field(default_factory=dict)
-    # relative paths present in only one of the trees and not paired
+    # relative paths present in only one of the trees
     unmatched: list[str] = field(default_factory=list)
 
     @property
@@ -109,17 +112,21 @@ def max_relative_difference(a: str, b: str) -> float:
 
 
 def trace_values(path: Path) -> np.ndarray:
-    """sample_rate_hz, t0_s and the samples of a trace file, .npz or CSV, as one array.
+    """sample_rate_hz, t0_s and the samples of a .npz trace file, as stored, in one array."""
+    with np.load(path, allow_pickle=False) as npz:
+        return np.concatenate([[npz["sample_rate_hz"], npz["t0_s"]], npz["samples"]])
 
-    Read without the package under comparison: the .npz arrays as stored,
-    the CSV header values and the cells after each row's comma.
+
+def write_csv_copy(npz_path: Path, csv_path: Path) -> None:
+    """Write a .npz trace as a trace CSV, with NumPy alone: the header, then time,signal rows.
+
+    Every value is written as its repr, so the CSV holds the same float64 bits.
     """
-    if path.suffix == ".npz":
-        with np.load(path, allow_pickle=False) as npz:
-            return np.concatenate([[npz["sample_rate_hz"], npz["t0_s"]], npz["samples"]])
-    header, *rows = path.read_text().splitlines()
-    meta = [float(item.split("=")[1]) for item in header.lstrip("#").split()]
-    return np.array(meta + [float(row.split(",")[1]) for row in rows if row.strip()])
+    with np.load(npz_path, allow_pickle=False) as npz:
+        fs, t0, samples = float(npz["sample_rate_hz"]), float(npz["t0_s"]), npz["samples"]
+    rows = zip((t0 + np.arange(samples.size) / fs).tolist(), samples.tolist())
+    csv_path.write_text(f"# sample_rate_hz={fs!r} t0_s={t0!r}\n"
+                        + "".join(f"{t!r},{v!r}\n" for t, v in rows))
 
 
 def trace_difference(a: Path, b: Path) -> "float | None":
@@ -132,18 +139,6 @@ def trace_difference(a: Path, b: Path) -> "float | None":
     return max((_relative(u, v) for u, v in zip(x.tolist(), y.tolist()) if u != v), default=0.0)
 
 
-def _trace_pairs(only_a: set[str], only_b: set[str]) -> dict[str, str]:
-    """points/.../trace*.csv of tree a -> the trace*.npz of the same stem in tree b."""
-    pairs = {}
-    for rel in only_a:
-        path = PurePosixPath(rel)
-        twin = path.with_suffix(".npz").as_posix()
-        if (path.suffix == ".csv" and path.name.startswith("trace")
-                and "points" in path.parts[:-1] and twin in only_b):
-            pairs[rel] = twin
-    return pairs
-
-
 def _same_run_json(a: bytes, b: bytes) -> bool:
     meta_a, meta_b = ({k: v for k, v in json.loads(raw).items() if k not in TIMING_KEYS}
                       for raw in (a, b))
@@ -152,8 +147,6 @@ def _same_run_json(a: bytes, b: bytes) -> bool:
 
 def _difference(a: Path, b: Path) -> "float | None":
     """None when two files count as identical, else the largest relative difference of their values."""
-    if a.suffix != b.suffix:
-        return trace_difference(a, b)
     bytes_a, bytes_b = a.read_bytes(), b.read_bytes()
     if _same_run_json(bytes_a, bytes_b) if a.name == "run.json" else bytes_a == bytes_b:
         return None
@@ -168,21 +161,18 @@ def _difference(a: Path, b: Path) -> "float | None":
 def compare_trees(dir_a: Path, dir_b: Path) -> Comparison:
     """Compare every file under two directories of tree a (parent) and tree b (child).
 
-    run.json files are compared up to their timing, a CSV trace of a with
-    the .npz trace of b that replaces it by content, and every other file
-    by its bytes.
+    run.json files are compared up to their timing and every other file by
+    its bytes.
     """
     files_a = {p.relative_to(dir_a).as_posix() for p in dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(dir_b).as_posix() for p in dir_b.rglob("*") if p.is_file()}
-    pairs = _trace_pairs(files_a - files_b, files_b - files_a)
-    result = Comparison(unmatched=sorted((files_a ^ files_b) - {*pairs, *pairs.values()}))
-    for rel_a, rel_b in sorted([(rel, rel) for rel in files_a & files_b] + list(pairs.items())):
-        worst = _difference(dir_a / rel_a, dir_b / rel_b)
-        label = rel_a if rel_a == rel_b else f"{rel_a[:-len('.csv')]}.{{csv,npz}}"
+    result = Comparison(unmatched=sorted(files_a ^ files_b))
+    for rel in sorted(files_a & files_b):
+        worst = _difference(dir_a / rel, dir_b / rel)
         if worst is None:
-            result.identical.append(label)
+            result.identical.append(rel)
         else:
-            result.differing[label] = worst
+            result.differing[rel] = worst
     return result
 
 
@@ -218,40 +208,35 @@ def export_revision(rev: str, dest: Path) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def _one_match(pattern: str) -> str:
-    """The one file that a glob pattern matches, such as the trace file a tree wrote."""
-    matches = glob.glob(pattern)
-    if len(matches) != 1:
-        raise RuntimeError(f"{pattern} matches {len(matches)} files, not 1")
-    return matches[0]
-
-
 def run_studies(src: Path, out: Path, jobs: int) -> tuple[Path, dict[str, str]]:
-    """Run STUDIES, then COMMANDS, with the package under src.
+    """Run STUDIES, write the CSV copy of FIT_TRACE, then run COMMANDS, with the package under src.
 
     Returns the runs' root and each command's stdout, in which the root
     reads ``{runs}``.
     """
     runs = out / "runs"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argvs = []
-    for name, command, config_text in STUDIES:
-        argv = [command, "--out", str(runs / name), "--seed", str(SEED_BASE), "--jobs", str(jobs)]
-        if config_text is not None:
-            config = out / f"{name}.cfg"
-            config.write_text(config_text)
-            argv += ["--config", str(config)]
-        argvs.append((name, argv))
-    argvs += [(name, [arg.format(runs=runs) for arg in args]) for name, args in COMMANDS]
     stdout = {}
-    for name, argv in argvs:
-        argv = [_one_match(arg) if "*" in arg else arg for arg in argv]
+
+    def run(name: str, argv: list[str]) -> None:
         (runs / name).mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, "-m", "lightstore.cli", *argv],
                               capture_output=True, text=True, env=env, cwd=out)
         if proc.returncode != 0:
             raise RuntimeError(f"{name} under {src} exited {proc.returncode}: {proc.stderr}")
         stdout[name] = proc.stdout.replace(str(runs), "{runs}")
+
+    for name, command, config_text in STUDIES:
+        argv = [command, "--out", str(runs / name), "--seed", str(SEED_BASE), "--jobs", str(jobs)]
+        if config_text is not None:
+            config = out / f"{name}.cfg"
+            config.write_text(config_text)
+            argv += ["--config", str(config)]
+        run(name, argv)
+    (runs / CSV_COPY).parent.mkdir()
+    write_csv_copy(runs / FIT_TRACE, runs / CSV_COPY)
+    for name, args in COMMANDS:
+        run(name, [arg.format(runs=runs) for arg in args])
     return runs, stdout
 
 
