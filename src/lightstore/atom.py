@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    EXCITED,
+    G_MINUS,
+    G_PLUS,
+    SECOND_EXCITED,
     TWO_PI,
     ConfigurationError,
     ExperimentConfig,
@@ -157,8 +161,6 @@ def build_hamiltonian(
     the two legs keep their relative sign.  With both drives off the matrix
     is diagonal.
     """
-    if include_second_excited and scheme.second_excited_label is None:
-        raise ConfigurationError("scheme has no second excited level")
     n = 4 if include_second_excited else 3
     h = np.zeros((n, n), dtype=complex)
     delta_s = signal.one_photon_detuning_rad
@@ -166,16 +168,15 @@ def build_hamiltonian(
     h[2, 2] = -delta_s
     if include_second_excited:
         h[3, 3] = -delta_s + TWO_PI * scheme.second_excited_offset_hz
-    for field, on, g, g_label in (
-        (signal, signal_on, 0, scheme.ground_minus_label),
-        (control, control_on, 1, scheme.ground_plus_label),
+    for field, on, g, ground in (
+        (signal, signal_on, 0, G_MINUS), (control, control_on, 1, G_PLUS)
     ):
         if not on:
             continue
         h[g, 2] = h[2, g] = -0.5 * field.rabi_frequency_rad
         if include_second_excited:
-            cg = scheme.weight(g_label, scheme.excited_label, field.polarization)
-            cg2 = scheme.weight(g_label, scheme.second_excited_label, field.polarization)
+            cg = scheme.weight(ground, EXCITED, field.polarization)
+            cg2 = scheme.weight(ground, SECOND_EXCITED, field.polarization)
             omega2 = field.unit_rabi_rad * cg2 * (-1.0 if cg < 0.0 else 1.0)
             h[g, 3] = h[3, g] = -0.5 * omega2
     return h
@@ -209,13 +210,10 @@ def _generator(
     gen0 = -1j * (h0[:, None, :, None] * eye[None, :, None, :]
                   - eye[:, None, :, None] * h0.T[None, :, None, :]).reshape(n * n, n * n)
     loss = np.zeros(n)
-    excited = [(2, scheme.excited_label)] + ([(3, scheme.second_excited_label)] if second else [])
-    grounds = [
-        (0, scheme.ground_minus_label, "sigma_plus"),
-        (1, scheme.ground_plus_label, "sigma_minus"),
-    ]
-    for e_idx, e_label in excited:
-        weights = [scheme.weight(g_label, e_label, pol) ** 2 for _, g_label, pol in grounds]
+    excited = [(2, EXCITED)] + ([(3, SECOND_EXCITED)] if second else [])
+    grounds = [(0, G_MINUS, "sigma_plus"), (1, G_PLUS, "sigma_minus")]
+    for e_idx, e_name in excited:
+        weights = [scheme.weight(g_name, e_name, pol) ** 2 for _, g_name, pol in grounds]
         total = sum(weights)
         if total == 0.0:
             weights, total = [1.0, 1.0], 2.0

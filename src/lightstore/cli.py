@@ -2,16 +2,14 @@
 
 Subcommands: dark-resonance, spectroscopy, control-sweep, signal-sweep, fit,
 init-config.  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, 3 I/O error.  The job count comes from --jobs, else the
-LIGHTSTORE_JOBS environment variable, else 1; a count below 1 is a
-configuration error.
+failure, 3 I/O error.  The job count comes from --jobs, default 1; a count
+below 1 is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -38,8 +36,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-JOBS_ENV_VAR = "LIGHTSTORE_JOBS"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved for numerical
@@ -55,8 +51,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=Path, required=True, help="output directory for this run")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed base (defaults to the config rng_seed)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help=f"parallel point evaluation (default ${JOBS_ENV_VAR} or 1)")
+    sub.add_argument("--jobs", type=int, default=1, help="parallel point evaluation (default 1)")
     sub.add_argument("--no-traces", action="store_true",
                      help="do not persist raw trace files")
 
@@ -89,18 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     init = subs.add_parser("init-config", help="write the calibrated default config")
     init.add_argument("path", type=Path, help="file to create")
     return parser
-
-
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get(JOBS_ENV_VAR, "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad {JOBS_ENV_VAR} value {env!r}") from exc
-    return 1
 
 
 def _print_kv(rows) -> None:
@@ -145,7 +128,7 @@ _STUDIES = {
 def _run_study(args, kind: str) -> int:
     loaded = default_config() if args.config is None else load_config(args.config)
     plan = StudyPlan.from_loaded(loaded, kind, seed_base=args.seed, out_dir=args.out,
-                                 jobs=_resolve_jobs(args), persist_traces=not args.no_traces)
+                                 jobs=args.jobs, persist_traces=not args.no_traces)
     run, header, rows = _STUDIES[kind]
     record = run(plan)[-1]
     if header is not None:

@@ -15,12 +15,15 @@ Grids accept either comma-separated values or "lin:start:stop:n".
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
+    EXCITED_STATES,
+    GROUNDS,
     TWO_PI,
     ConfigurationError,
     ExperimentConfig,
@@ -124,8 +127,8 @@ def default_config() -> LoadedExperiment:
     """Calibrated default experiment (see module docstring for the anchors)."""
     scheme = LevelScheme()
     kappa = DEFAULT_KAPPA_RAD2
-    control = FieldConfig(DEFAULT_CONTROL_INTENSITY, SIGMA_MINUS, power_w=300e-6)
-    signal = FieldConfig(DEFAULT_SIGNAL_INTENSITY, SIGMA_PLUS, power_w=100e-6)
+    control = FieldConfig(DEFAULT_CONTROL_INTENSITY, SIGMA_MINUS)
+    signal = FieldConfig(DEFAULT_SIGNAL_INTENSITY, SIGMA_PLUS)
     shift = LightShiftModel(
         couplings=(
             ShiftCoupling(
@@ -201,8 +204,8 @@ def _parse_couplings(raw: str) -> tuple[ShiftCoupling, ...]:
 
 def _non_negative(raw: str) -> float:
     value = float(raw)
-    if not value >= 0.0:
-        raise ValueError(f"must be >= 0, got {raw.strip()!r}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"must be >= 0 and finite, got {raw.strip()!r}")
     return value
 
 
@@ -215,18 +218,13 @@ def _optional(parse):
 
 
 def _transition(key: str) -> tuple[str, str, str]:
-    parts = key.split("/")
-    if len(parts) != 3:
+    parts = tuple(key.split("/"))
+    if not (len(parts) == 3 and parts[0] in GROUNDS and parts[1] in EXCITED_STATES):
         raise ConfigurationError(
-            f"clebsch_weights key must be ground/excited/polarization, got {key!r}"
+            f"clebsch_weights key must be ground/excited/polarization with ground in "
+            f"{GROUNDS} and excited in {EXCITED_STATES}, got {key!r}"
         )
-    return (parts[0], parts[1], parts[2])
-
-
-_FIELD_KEYS = {
-    "intensity": _non_negative, "power_w": float, "one_photon_detuning_rad": float,
-    "polarization": str, "angle_alpha_rad": float,
-}
+    return parts
 
 # The config file format: section -> (object the section sets, {key: parser}),
 # in file order.  Each key names the attribute it sets on that object; "config"
@@ -234,20 +232,21 @@ _FIELD_KEYS = {
 # arguments and "plan" the plan_* fields of LoadedExperiment.
 _FORMAT = {
     "level_scheme": ("level_scheme", {
-        "gamma_e_rad": float, "gamma_gg_rad": float, "ground_minus_label": str,
-        "ground_plus_label": str, "excited_label": str,
-        # empty disables the fourth level
-        "second_excited_label": _optional(str), "second_excited_offset_hz": float,
+        "gamma_e_rad": float, "gamma_gg_rad": float, "second_excited_offset_hz": float,
     }),
-    # free-form: one amplitude per "<ground>/<excited>/<polarization>" key; a
-    # file's section replaces the weights whole, else they follow the labels
+    # one amplitude per "<ground>/<excited>/<polarization>" key of the fixed
+    # basis names; a file's section replaces the default weights whole
     "clebsch_weights": ("clebsch_weights", None),
     # readout_intensity: retrieval drive, empty = same as intensity
-    "control": ("control", {**_FIELD_KEYS, "readout_intensity": _optional(_non_negative)}),
-    "signal": ("signal", _FIELD_KEYS),
-    "magnetic": ("magnetic", {
-        "b0_gauss": float, "g_f": float, "mu_b_over_h_hz_per_gauss": float,
+    "control": ("control", {
+        "intensity": _non_negative, "polarization": str,
+        "readout_intensity": _optional(_non_negative),
     }),
+    "signal": ("signal", {
+        "intensity": _non_negative, "one_photon_detuning_rad": float, "polarization": str,
+        "angle_alpha_rad": float,
+    }),
+    "magnetic": ("magnetic", {"b0_gauss": float, "g_f": float}),
     "experiment": ("config", {
         "delta_r_hz": float, "sample_rate_hz": float, "trace_noise_sigma": _non_negative,
         "control_leak_fraction": float, "storage_efficiency": float,

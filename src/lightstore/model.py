@@ -27,6 +27,12 @@ SIGMA_PLUS = "sigma_plus"
 SIGMA_MINUS = "sigma_minus"
 POLARIZATIONS = (SIGMA_PLUS, SIGMA_MINUS)
 
+# The fixed basis names: the two grounds, the excited level and the optional
+# second excited level, in basis order.
+G_MINUS, G_PLUS, EXCITED, SECOND_EXCITED = "g_minus", "g_plus", "e", "e2"
+GROUNDS = (G_MINUS, G_PLUS)
+EXCITED_STATES = (EXCITED, SECOND_EXCITED)
+
 
 class ConfigurationError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -51,17 +57,15 @@ def rabi_from_intensity(intensity: float, cg: float, kappa: float) -> float:
 class LevelScheme:
     """States, transition amplitudes and rates of the effective lambda system.
 
-    The basis is |g_minus>, |g_plus>, |e| and optionally a second excited
-    level offset above |e> by ``second_excited_offset_hz``.  Transition
-    amplitudes are keyed by (ground_label, excited_label, polarization).
+    The basis is |g_minus>, |g_plus>, |e> and, when the experiment includes
+    it, a second excited level |e2> offset above |e> by
+    ``second_excited_offset_hz``.  Transition amplitudes are keyed by
+    (ground, excited, polarization) with those fixed names; a leg without an
+    amplitude has amplitude 0.
     """
 
     gamma_e_rad: float = GAMMA_E_DEFAULT_RAD
     gamma_gg_rad: float = TWO_PI * 500.0
-    ground_minus_label: str = "g_minus"
-    ground_plus_label: str = "g_plus"
-    excited_label: str = "e"
-    second_excited_label: str | None = "e2"
     second_excited_offset_hz: float = 814.5e6
     clebsch_weights: tuple[tuple[tuple[str, str, str], float], ...] = ()
 
@@ -83,18 +87,11 @@ class LevelScheme:
             if pol not in POLARIZATIONS:
                 raise ConfigurationError(f"unknown polarization {pol!r}")
 
-    def default_weights(self) -> tuple[tuple[tuple[str, str, str], float], ...]:
-        """Unit amplitudes on the two driven legs, plus the second-level legs."""
-        weights = [
-            ((self.ground_minus_label, self.excited_label, SIGMA_PLUS), 1.0),
-            ((self.ground_plus_label, self.excited_label, SIGMA_MINUS), 1.0),
-        ]
-        if self.second_excited_label is not None:
-            weights += [
-                ((self.ground_minus_label, self.second_excited_label, SIGMA_PLUS), 1.0),
-                ((self.ground_plus_label, self.second_excited_label, SIGMA_MINUS), 1.0),
-            ]
-        return tuple(weights)
+    @staticmethod
+    def default_weights() -> tuple[tuple[tuple[str, str, str], float], ...]:
+        """Unit amplitudes on the two driven legs, then on the second-level legs."""
+        return tuple(((g, e, pol), 1.0) for e in EXCITED_STATES
+                     for g, pol in ((G_MINUS, SIGMA_PLUS), (G_PLUS, SIGMA_MINUS)))
 
     def weight(self, ground: str, excited: str, polarization: str) -> float:
         for key, w in self.clebsch_weights:
@@ -112,13 +109,15 @@ class FieldConfig:
     amplitude.  Neither is an argument: the ExperimentConfig holding the
     field derives both from ``intensity``, and a field outside a config
     reads NaN.  The slot a field fills, control or signal, is its role.
-    ``readout_intensity`` (control field only) lets the retrieval drive
-    differ from the preparation drive; None means "same as intensity".
+    Both roles read ``intensity`` and ``polarization``.  Only the signal
+    reads ``one_photon_detuning_rad`` (the signal detuning and delta_R fix
+    the control's) and ``angle_alpha_rad`` (its angle to the control beam).
+    Only the control reads ``readout_intensity``, which lets the retrieval
+    drive differ from the preparation drive; None means "same as intensity".
     """
 
     intensity: float
     polarization: str
-    power_w: float = 0.0
     one_photon_detuning_rad: float = 0.0
     angle_alpha_rad: float = 0.0
     readout_intensity: float | None = None
@@ -140,11 +139,10 @@ class MagneticEnvironment:
 
     b0_gauss: float
     g_f: float = G_F_DEFAULT
-    mu_b_over_h_hz_per_gauss: float = MU_B_OVER_H_HZ_PER_GAUSS
 
     def zeeman_splitting(self) -> float:
         """Splitting 2 g_F mu_B B0 / h (Hz) between the Delta m_F = 2 grounds."""
-        return 2.0 * self.g_f * self.mu_b_over_h_hz_per_gauss * self.b0_gauss
+        return 2.0 * self.g_f * MU_B_OVER_H_HZ_PER_GAUSS * self.b0_gauss
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,11 @@ class PulseSequence:
         prev: Segment | None = None
         tol = 1e-12
         for seg in self.segments:
-            if not seg.t_end > seg.t_start:
-                raise ConfigurationError(f"segment {seg.name!r} has non-positive duration")
+            if not (math.isfinite(seg.t_start) and seg.t_start < seg.t_end < math.inf):
+                raise ConfigurationError(
+                    f"segment {seg.name!r} needs finite times t_start < t_end, "
+                    f"got ({seg.t_start!r}, {seg.t_end!r})"
+                )
             if prev is not None and abs(seg.t_start - prev.t_end) > tol:
                 raise ConfigurationError(
                     f"segments {prev.name!r} and {seg.name!r} are not contiguous"
@@ -249,9 +250,15 @@ class PulseSequence:
         storage_s: float,
         readout_s: float,
     ) -> "PulseSequence":
-        """Build the canonical four-phase sequence starting at t = 0."""
+        """Build the canonical four-phase sequence starting at t = 0.
+
+        Each duration must be finite and > 0; an error names its argument.
+        """
         edges = [0.0]
-        for d in (preparation_s, input_s, storage_s, readout_s):
+        for name, d in (("preparation_s", preparation_s), ("input_s", input_s),
+                        ("storage_s", storage_s), ("readout_s", readout_s)):
+            if not (math.isfinite(d) and d > 0.0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {d!r}")
             edges.append(edges[-1] + d)
         return cls(
             segments=(
@@ -324,10 +331,10 @@ class ExperimentConfig:
             if not getattr(self, name) >= 0.0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         nyquist_demand = 4.0 * (self.magnetic.zeeman_splitting() + abs(self.delta_r_hz))
-        if not self.sample_rate_hz > nyquist_demand:
+        if not nyquist_demand < self.sample_rate_hz < math.inf:
             raise ConfigurationError(
-                f"sample_rate {self.sample_rate_hz} Hz violates the Nyquist margin; "
-                f"need > {nyquist_demand} Hz"
+                f"sample_rate_hz {self.sample_rate_hz} Hz violates the Nyquist margin; "
+                f"need finite and > {nyquist_demand} Hz"
             )
         # Fields are shared between configs, so a field whose coupling
         # differs (a field new to its slot) is swapped for a copy rather than
@@ -353,12 +360,10 @@ class ExperimentConfig:
     # -- derived couplings ------------------------------------------------
 
     def control_cg(self) -> float:
-        s = self.level_scheme
-        return s.weight(s.ground_plus_label, s.excited_label, self.control.polarization)
+        return self.level_scheme.weight(G_PLUS, EXCITED, self.control.polarization)
 
     def signal_cg(self) -> float:
-        s = self.level_scheme
-        return s.weight(s.ground_minus_label, s.excited_label, self.signal.polarization)
+        return self.level_scheme.weight(G_MINUS, EXCITED, self.signal.polarization)
 
     def readout_intensity(self) -> float:
         r = self.control.readout_intensity

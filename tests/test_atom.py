@@ -42,10 +42,10 @@ def _kron_generator(config, delta_r_hz):
     n = h.shape[0]
     eye = np.eye(n)
     ops = []
-    for e, e_label in [(2, scheme.excited_label), (3, scheme.second_excited_label)][: n - 2]:
+    for e, e_name in [(2, "e"), (3, "e2")][: n - 2]:
         w = np.array([
-            scheme.weight(scheme.ground_minus_label, e_label, "sigma_plus"),
-            scheme.weight(scheme.ground_plus_label, e_label, "sigma_minus"),
+            scheme.weight("g_minus", e_name, "sigma_plus"),
+            scheme.weight("g_plus", e_name, "sigma_minus"),
         ]) ** 2
         for g in (0, 1):
             op = np.zeros((n, n))

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import lightstore
-from lightstore.cli import JOBS_ENV_VAR, main
+from lightstore.cli import main
 from lightstore.configfile import default_config, dump_config
 from lightstore.orchestrator import OrchestrationError, reanalyze_spectroscopy
 from lightstore.storage import PhotodiodeTrace, read_trace_csv
@@ -56,10 +57,9 @@ def test_init_config_and_spectroscopy_run(tmp_path, small_config, capsys):
 
 
 def test_nan_standard_error_excludes_its_point_without_failing_the_run(
-    tmp_path, small_config, nan_covariance, monkeypatch
+    tmp_path, small_config, nan_covariance
 ):
     # the first inverse of the run is point 0's input-window covariance
-    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
     nan_covariance(0)
     out = tmp_path / "run"
     assert main(["spectroscopy", "--config", str(small_config),
@@ -206,6 +206,35 @@ def test_out_of_range_experiment_value_exits_1_naming_its_key(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("pulse_sequence", "readout_s"), ("experiment", "sample_rate_hz"),
+    ("control", "intensity"), ("control", "readout_intensity"), ("signal", "intensity"),
+    ("experiment", "kappa_rad2"), ("experiment", "trace_noise_sigma"),
+])
+def test_infinite_value_exits_1_naming_its_key(tmp_path, capsys, section, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[{section}]\n{key} = inf\n")
+    out = tmp_path / "o"
+    assert main(["spectroscopy", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert re.search(rf"\b{key}\b", err)  # "intensity" alone, not in "readout_intensity"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectroscopy", "dark-resonance"])
+@pytest.mark.parametrize("typo", ["g_mnus/e/sigma_plus", "g_minus/e3/sigma_plus"])
+def test_a_misspelled_clebsch_weight_exits_1_naming_it(tmp_path, capsys, command, typo):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[clebsch_weights]\n{typo} = 1.0\ng_plus/e/sigma_minus = 1.0\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: clebsch_weights key must be ground/excited/polarization with "
+        f"ground in ('g_minus', 'g_plus') and excited in ('e', 'e2'), got '{typo}'\n")
     assert not out.exists()
 
 
@@ -438,32 +467,10 @@ def test_no_traces_flag(tmp_path, small_config):
     assert (out / "points" / "0" / "fits.csv").is_file()
 
 
-def test_jobs_env_var_used_when_flag_absent(tmp_path, small_config, monkeypatch):
-    out_env = tmp_path / "env"
-    monkeypatch.setenv(JOBS_ENV_VAR, "2")
-    assert main(["spectroscopy", "--config", str(small_config),
-                 "--out", str(out_env), "--seed", "9"]) == 0
-    out_flag = tmp_path / "flag"
-    monkeypatch.setenv(JOBS_ENV_VAR, "junk")  # --jobs wins; env never parsed
-    assert main(["spectroscopy", "--config", str(small_config),
-                 "--out", str(out_flag), "--seed", "9", "--jobs", "1"]) == 0
-    assert (out_env / "summary.csv").read_bytes() == (out_flag / "summary.csv").read_bytes()
-
-
-def test_bad_jobs_env_var_rejected(tmp_path, small_config, monkeypatch, capsys):
-    monkeypatch.setenv(JOBS_ENV_VAR, "many")
-    code = main(["spectroscopy", "--config", str(small_config),
-                 "--out", str(tmp_path / "o")])
-    assert code == 1
-
-
-@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0")])
-def test_jobs_below_one_rejected(tmp_path, small_config, monkeypatch, capsys, flag, env):
-    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-    if env is not None:
-        monkeypatch.setenv(JOBS_ENV_VAR, env)
+@pytest.mark.parametrize("flag", ["0", "-2"])
+def test_jobs_below_one_rejected(tmp_path, small_config, capsys, flag):
     argv = ["spectroscopy", "--config", str(small_config), "--out", str(tmp_path / "o")]
-    code = main(argv + (["--jobs", flag] if flag is not None else []))
+    code = main(argv + ["--jobs", flag])
     assert code == 1
     assert "jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lightstore.atom import transmission_spectrum
 from lightstore.configfile import (
     _make_parser,
     default_config,
@@ -12,6 +13,7 @@ from lightstore.configfile import (
     load_config,
 )
 from lightstore.model import ConfigurationError
+from lightstore.storage import simulate_storage
 
 
 def _run_snapshot():
@@ -27,21 +29,26 @@ def _dumped_keys() -> list[tuple[str, str, str]]:
         parser = _make_parser()
         parser.read(path)
     return [(section, key, value) for section in parser.sections()
-            if section != "clebsch_weights" for key, value in parser[section].items()]
+            for key, value in parser[section].items()]
 
 
-DUMPED_KEYS = _dumped_keys()
+ALL_DUMPED_KEYS = _dumped_keys()
+# [clebsch_weights] keys are left out: one alone replaces the weights whole
+DUMPED_KEYS = [k for k in ALL_DUMPED_KEYS if k[0] != "clebsch_weights"]
 # keys whose parser takes any text, so "abc" is not a parse error there
-TEXT_KEYS = {"ground_minus_label", "ground_plus_label", "excited_label",
-             "second_excited_label", "polarization", "average_mode", "kind"}
+TEXT_KEYS = {"polarization", "average_mode", "kind"}
+
+
+def _write_sections(path, sections: dict[str, dict[str, str]]) -> None:
+    """Write through configparser, which keeps multi-line values valid."""
+    parser = _make_parser()
+    parser.read_dict(sections)
+    with open(path, "w") as fh:
+        parser.write(fh)
 
 
 def _write_single_key(path, section: str, key: str, value: str) -> None:
-    """Write through configparser, which keeps multi-line values valid."""
-    parser = _make_parser()
-    parser[section] = {key: value}
-    with open(path, "w") as fh:
-        parser.write(fh)
+    _write_sections(path, {section: {key: value}})
 
 
 def test_round_trip_is_identity(tmp_path):
@@ -259,3 +266,79 @@ def test_malformed_file_is_a_configuration_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigurationError, match="malformed config file .*malformed.cfg"):
         load_config(path)
+
+
+DEFAULT_WEIGHTS = {"clebsch_weights": {k: v for s, k, v in ALL_DUMPED_KEYS
+                                       if s == "clebsch_weights"}}
+FOUR_LEVELS = {"experiment": {"include_second_excited": "true"}}
+# legs the other polarization drives, so a field's polarization moves its coupling
+CROSS_LEGS = {"clebsch_weights": {**DEFAULT_WEIGHTS["clebsch_weights"],
+                                  "g_minus/e/sigma_minus": "0.5", "g_plus/e/sigma_plus": "0.5"}}
+# the pulling term delta_R (1 - cos alpha) cos^2(theta) needs delta_R != 0 and alpha != 0
+DETUNED = {"experiment": {"delta_r_hz": "3000.0"}}
+PULLING = {"experiment": {"delta_r_hz": "3000.0"}, "signal": {"angle_alpha_rad": "0.5"}}
+
+# (section, key) of every key in the physics sections -> (a changed value,
+# the sections it is changed on)
+MOVES = {
+    ("level_scheme", "gamma_e_rad"): ("3.0e7", {}),
+    ("level_scheme", "gamma_gg_rad"): ("1.0e4", {}),
+    ("level_scheme", "second_excited_offset_hz"): ("5.0e8", FOUR_LEVELS),
+    ("clebsch_weights", "g_minus/e/sigma_plus"): ("0.5", DEFAULT_WEIGHTS),
+    ("clebsch_weights", "g_plus/e/sigma_minus"): ("0.5", DEFAULT_WEIGHTS),
+    ("clebsch_weights", "g_minus/e2/sigma_plus"): ("0.5", {**DEFAULT_WEIGHTS, **FOUR_LEVELS}),
+    ("clebsch_weights", "g_plus/e2/sigma_minus"): ("0.5", {**DEFAULT_WEIGHTS, **FOUR_LEVELS}),
+    ("control", "intensity"): ("5.0", {}),
+    ("control", "polarization"): ("sigma_plus", CROSS_LEGS),
+    ("control", "readout_intensity"): ("5.0", {}),
+    ("signal", "intensity"): ("1.0", {}),
+    ("signal", "one_photon_detuning_rad"): ("1.0e7", {}),
+    ("signal", "polarization"): ("sigma_minus", CROSS_LEGS),
+    ("signal", "angle_alpha_rad"): ("0.5", DETUNED),
+    ("magnetic", "b0_gauss"): ("0.6", {}),
+    ("magnetic", "g_f"): ("0.6", {}),
+    ("experiment", "delta_r_hz"): ("3000.0", {}),
+    ("experiment", "sample_rate_hz"): ("2.5e7", {}),
+    ("experiment", "trace_noise_sigma"): ("0.1", {}),
+    ("experiment", "control_leak_fraction"): ("0.2", {}),
+    ("experiment", "storage_efficiency"): ("0.5", {}),
+    ("experiment", "retrieval_decay_time_s"): ("2.0e-5", {}),
+    ("experiment", "rng_seed"): ("7", {}),
+    ("experiment", "kappa_rad2"): ("1.0e11", {}),
+    ("experiment", "od_eff"): ("1.0", {}),
+    ("experiment", "coupling_gn_rad"): ("1.0e6", PULLING),
+    ("experiment", "include_second_excited"): ("true", {}),
+    ("light_shift", "linewidth_rad"): ("1.0e8", {}),
+    ("light_shift", "couplings"): ("5.0e9 1.0", {}),
+    ("pulse_sequence", "preparation_s"): ("2.0e-5", {}),
+    ("pulse_sequence", "input_s"): ("4.0e-5", {}),
+    ("pulse_sequence", "storage_s"): ("4.0e-6", {}),
+    ("pulse_sequence", "readout_s"): ("5.0e-5", {}),
+}
+PHYSICS_KEYS = [(s, k) for s, k, _ in ALL_DUMPED_KEYS if s not in ("study", "analysis", "plan")]
+
+
+def _outputs(path) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded trace samples, and a small spectrum's transmissions and absorption proxies."""
+    loaded = load_config(path)
+    spectrum = transmission_spectrum(loaded.config, np.linspace(-20e3, 20e3, 5))
+    return (simulate_storage(loaded.config, loaded.sequence).samples,
+            np.array([(p.transmission, p.absorption_proxy) for p in spectrum]))
+
+
+@pytest.mark.filterwarnings("ignore:.*the standard configuration drives it")
+@pytest.mark.parametrize("section,key", PHYSICS_KEYS, ids=[f"{s}.{k}" for s, k in PHYSICS_KEYS])
+def test_every_key_moves_an_output(tmp_path, section, key):
+    assert (section, key) in MOVES, f"[{section}] {key} has no case"
+    value, base = MOVES[(section, key)]
+    changed = {name: dict(keys) for name, keys in base.items()}
+    changed.setdefault(section, {})[key] = value
+    _write_sections(tmp_path / "base.cfg", base)
+    _write_sections(tmp_path / "changed.cfg", changed)
+    before, after = _outputs(tmp_path / "base.cfg"), _outputs(tmp_path / "changed.cfg")
+    assert not all(np.array_equal(a, b) for a, b in zip(before, after)), (
+        f"[{section}] {key} = {value} changes no output")
+
+
+def test_every_move_names_a_dumped_key():
+    assert sorted(MOVES) == sorted(PHYSICS_KEYS)

@@ -128,3 +128,24 @@ def test_a_missing_or_extra_line_of_stdout_is_reported():
     assert diff("a\nb\n", "a\nb\n") is None
     assert diff("a\nb\n", "a\n") == "line 2: 'b' != ''"
     assert diff("a\n", "a") == "line 2: '' != None"
+
+
+def test_a_differing_config_file_is_reported_by_its_lines(two_runs):
+    a, b = two_runs
+    plan = b / "plan.cfg"
+    text = plan.read_text()
+    assert "[magnetic]\nb0_gauss = 0.49\ng_f = 0.5\n" in text
+    plan.write_text(text.replace("g_f = 0.5\n", "").replace("b0_gauss = 0.49", "b0_gauss = 0.5"))
+    result = equivalence.compare_trees(a, b)
+    assert not result.equal
+    assert result.differing == {}
+    assert result.differing_lines == {"plan.cfg": (
+        ("[magnetic] b0_gauss = 0.49", "[magnetic] g_f = 0.5"), ("[magnetic] b0_gauss = 0.5",))}
+
+
+def test_config_lines_are_told_apart_by_their_section():
+    a = "[control]\nintensity = 10.5\npower_w = 0.0003\n\n[signal]\nintensity = 3.5\npower_w = 0.0001\n"
+    b = "[control]\nintensity = 10.5\n\n[signal]\nintensity = 3.5\n"
+    assert equivalence.line_difference(a, b) == (
+        ("[control] power_w = 0.0003", "[signal] power_w = 0.0001"), ())
+    assert equivalence.line_difference(a, a) == ((), ())

@@ -142,11 +142,29 @@ class TestPulseSequence:
         with pytest.raises(ConfigurationError):
             PulseSequence(segments=(Segment("input", 1e-5, 1e-5, True, True),))
 
+    @pytest.mark.parametrize("t_start, t_end", [(0.0, math.inf), (-math.inf, 1e-5),
+                                                (0.0, math.nan)])
+    def test_non_finite_segment_time_rejected(self, t_start, t_end):
+        with pytest.raises(ConfigurationError, match="segment 'input' needs finite times"):
+            PulseSequence(segments=(Segment("input", t_start, t_end, True, True),))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-6])
+    @pytest.mark.parametrize("name", ["preparation_s", "input_s", "storage_s", "readout_s"])
+    def test_standard_names_a_duration_that_is_not_finite_and_positive(self, name, value):
+        durations = {"preparation_s": 30e-6, "input_s": 50e-6, "storage_s": 5e-6,
+                     "readout_s": 60e-6, name: value}
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite and > 0, got "):
+            PulseSequence.standard(**durations)
+
 
 class TestExperimentConfig:
     def test_nyquist_guard(self, config):
         with pytest.raises(ConfigurationError, match="Nyquist"):
             replace(config, sample_rate_hz=2.0e6)
+
+    def test_infinite_sample_rate_rejected(self, config):
+        with pytest.raises(ConfigurationError, match="^sample_rate_hz inf Hz violates"):
+            replace(config, sample_rate_hz=math.inf)
 
     def test_leak_fraction_bounds(self, config):
         with pytest.raises(ConfigurationError):

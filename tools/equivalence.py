@@ -9,7 +9,9 @@ format of the README, and runs ``init-config``, then ``fit`` on the
 ``.npz`` and on the CSV copy.  Then it compares the two trees of outputs
 file by file.  ``run.json`` may differ only in its timing; every other
 file must be byte-identical.  For a CSV or ``.npz`` trace file that is
-not, it prints the largest relative difference of any value.
+not, it prints the largest relative difference of any value; for a ``.cfg``
+file, the lines that only the parent's has and those that only the child's
+has, each after its ``[section]``.
 It also compares what each command printed to stdout, with the runs' root
 replaced by ``{runs}``, and prints the first line that differs.
 Exits 1 on any difference.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import io
 import itertools
 import json
@@ -76,12 +79,15 @@ class Comparison:
     # relative path -> largest relative |difference| of its values (inf when
     # the files do not line up value by value)
     differing: dict[str, float] = field(default_factory=dict)
+    # relative path of a differing .cfg file -> (lines only a has, lines only b has)
+    differing_lines: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = field(
+        default_factory=dict)
     # relative paths present in only one of the trees
     unmatched: list[str] = field(default_factory=list)
 
     @property
     def equal(self) -> bool:
-        return not self.differing and not self.unmatched
+        return not self.differing and not self.differing_lines and not self.unmatched
 
 
 def _relative(x: float, y: float) -> float:
@@ -139,6 +145,29 @@ def trace_difference(a: Path, b: Path) -> "float | None":
     return max((_relative(u, v) for u, v in zip(x.tolist(), y.tolist()) if u != v), default=0.0)
 
 
+def _section_lines(text: str) -> list[str]:
+    """The non-blank lines of a config file, each key line after its "[section]"."""
+    section, lines = "", []
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line
+        if line.strip():
+            lines.append(line if line == section else f"{section} {line}")
+    return lines
+
+
+def line_difference(a: str, b: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The lines of config text a that a line diff finds missing in b, and those b adds."""
+    lines_a, lines_b = _section_lines(a), _section_lines(b)
+    only_a, only_b = [], []
+    matcher = difflib.SequenceMatcher(None, lines_a, lines_b, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            only_a += lines_a[i1:i2]
+            only_b += lines_b[j1:j2]
+    return tuple(only_a), tuple(only_b)
+
+
 def _same_run_json(a: bytes, b: bytes) -> bool:
     meta_a, meta_b = ({k: v for k, v in json.loads(raw).items() if k not in TIMING_KEYS}
                       for raw in (a, b))
@@ -162,7 +191,7 @@ def compare_trees(dir_a: Path, dir_b: Path) -> Comparison:
     """Compare every file under two directories of tree a (parent) and tree b (child).
 
     run.json files are compared up to their timing and every other file by
-    its bytes.
+    its bytes.  A differing .cfg file is described by its differing lines.
     """
     files_a = {p.relative_to(dir_a).as_posix() for p in dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(dir_b).as_posix() for p in dir_b.rglob("*") if p.is_file()}
@@ -171,6 +200,9 @@ def compare_trees(dir_a: Path, dir_b: Path) -> Comparison:
         worst = _difference(dir_a / rel, dir_b / rel)
         if worst is None:
             result.identical.append(rel)
+        elif rel.endswith(".cfg"):
+            result.differing_lines[rel] = line_difference(
+                (dir_a / rel).read_text(), (dir_b / rel).read_text())
         else:
             result.differing[rel] = worst
     return result
@@ -260,13 +292,23 @@ def main(argv=None) -> int:
             result = compare_trees(trees["parent"], trees["child"])
             printed = compare_stdout(stdout["parent"], stdout["child"])
             print(f"jobs {jobs}: {len(result.identical)} files identical, "
-                  f"{len(result.differing)} differ, {len(result.unmatched)} in one tree only; "
+                  f"{len(result.differing) + len(result.differing_lines)} differ, "
+                  f"{len(result.unmatched)} in one tree only; "
                   f"stdout of {len(stdout['parent']) - len(printed)} of "
                   f"{len(stdout['parent'])} commands identical")
             for name, diff in printed.items():
                 print(f"  stdout differs  {name}  {diff}")
             for rel, worst in result.differing.items():
                 print(f"  differs  {rel}  max relative |delta| {worst:.3g}")
+            # config files with the same differing lines are listed together
+            groups: dict[tuple, list[str]] = {}
+            for rel, lines in result.differing_lines.items():
+                groups.setdefault(lines, []).append(rel)
+            for (only_a, only_b), rels in groups.items():
+                print(f"  differs  {len(rels)} config file(s): {', '.join(rels)}")
+                for side, lines in (("parent", only_a), ("child", only_b)):
+                    for line in lines:
+                        print(f"    only in {side}  {line}")
             for rel in result.unmatched:
                 print(f"  only in one tree  {rel}")
             if result.differing:
