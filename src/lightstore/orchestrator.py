@@ -6,14 +6,14 @@ signal-intensity sweep) plus stand-alone fitting of a trace file, a run's
 .npz or a measured trace CSV.  Every run writes the same layout: a plan.cfg
 snapshot that reloads to the exact configuration, per-point traces (binary
 .npz files, see ``storage.write_trace_csv``; no run writes a CSV trace) and
-fit tables, a summary.csv, a result.csv of scalar outcomes, two-column
-plotdata files and a run.json of metadata, written last as the mark of a
-finished run.  Every study runs between
-``_start_run`` (kind check, then removal of what an earlier run wrote
-there, RUN_OUTPUTS and points/<i>) and ``_finish_run``; any other file in
-the directory is left alone.
+fit tables, a summary.csv, a result.csv of scalar outcomes and a run.json
+of metadata, written last as the mark of a finished run.  Every study runs
+between ``_start_run`` (kind check, then removal of what an earlier run
+wrote there: RUN_OUTPUTS, points/<i> and the plotdata/ of former runs) and
+``_finish_run``; any other file in the directory is left alone.
 Each kind's derive step (``_KINDS``) turns measured points into the run's
-tables and ``_finish_run`` writes every run-level file; the task that
+result and result.csv's summary; ``_finish_run`` builds summary.csv's rows
+only for a run it persists, and writes every run-level file.  The task that
 measures detuning points, in the parent or a worker, writes their directories.
 Identical seeds yield byte-identical files, apart from run.json's timing,
 whether points are evaluated serially or in a process pool.
@@ -88,8 +88,7 @@ SHIFT_KEYS = ("delta_f_ac_hz", "delta_f_ac_err_hz")
 # What a run writes in its directory besides plan.cfg, and POINTS/<i>/ per
 # grid point; the writers take these names from here, and _start_run removes
 # an earlier run's first.
-RUN_JSON, RESULT_CSV, SUMMARY_CSV, PLOTDATA = RUN_OUTPUTS = (
-    "run.json", "result.csv", "summary.csv", "plotdata")
+RUN_JSON, RESULT_CSV, SUMMARY_CSV = RUN_OUTPUTS = ("run.json", "result.csv", "summary.csv")
 POINTS = "points"
 _POINT_NAME = re.compile(r"0|[1-9][0-9]*")
 
@@ -363,10 +362,15 @@ def write_fits_csv(rows: "list[tuple[str, BeatFitResult]]", path: Path) -> None:
 
 
 def _remove_earlier_run(out_dir: Path) -> None:
-    """Remove RUN_OUTPUTS and every POINTS/<integer>/ from out_dir; other files stay."""
+    """Remove RUN_OUTPUTS and every POINTS/<integer>/ from out_dir; other files stay.
+
+    A plotdata/ directory goes too: former runs wrote their lines and points
+    there a second time, and no run writes it now, so it would only hold
+    stale copies next to fresh results.
+    """
     points = [p for p in (out_dir / POINTS).glob("*")
               if _POINT_NAME.fullmatch(p.name) and p.is_dir()]
-    for path in [out_dir / name for name in RUN_OUTPUTS] + points:
+    for path in [out_dir / name for name in (*RUN_OUTPUTS, "plotdata")] + points:
         if path.is_dir():
             shutil.rmtree(path)
         else:
@@ -387,7 +391,6 @@ def _start_run(plan: StudyPlan, kind: str) -> tuple[StudyPlan, float, str]:
     if plan.out_dir is not None:
         plan.out_dir.mkdir(parents=True, exist_ok=True)
         _remove_earlier_run(plan.out_dir)
-        (plan.out_dir / PLOTDATA).mkdir()
         dump_config(plan.loaded(), plan.out_dir / "plan.cfg")
         reloaded = load_config(plan.out_dir / "plan.cfg")
         plan = replace(
@@ -400,16 +403,16 @@ def _finish_run(plan: StudyPlan, measured: Sequence, t_start: float, started_at:
                 points: "tuple[PointRecord, ...] | None" = None) -> tuple[object, RunRecord]:
     """Derive the measured points by the kind's step, write its tables, then run.json last.
 
-    A derive step that raises leaves no run-level file.  Returns the kind's
-    result and a record of ``points``, by default the measured ones.
+    A derive step that raises leaves no run-level file.  summary.csv's rows
+    are built only here, for a run with an output directory, so an in-memory
+    run never builds them.  Returns the kind's result and a record of
+    ``points``, by default the measured ones.
     """
-    result, summary, rows, series = _KINDS[plan.kind].derive(plan, measured)
+    result, summary = _KINDS[plan.kind].derive(plan, measured)
     points = tuple(measured) if points is None else points
     if plan.out_dir is not None:
-        _write_rows_csv(plan.out_dir / SUMMARY_CSV, rows)
-        for name, (xs, ys) in series.items():
-            _write_rows_csv(plan.out_dir / PLOTDATA / f"{name}.csv",
-                            [["x", "y"], *([_fmt(x), _fmt(y)] for x, y in zip(xs, ys))])
+        rows = _spectrum_rows if plan.kind == "dark_resonance" else _point_rows
+        _write_rows_csv(plan.out_dir / SUMMARY_CSV, rows(plan.kind, measured))
         _write_rows_csv(plan.out_dir / RESULT_CSV,
                         [["key", "value"], *([k, _fmt(v)] for k, v in summary)])
         meta = {
@@ -427,7 +430,7 @@ def _finish_run(plan: StudyPlan, measured: Sequence, t_start: float, started_at:
     return result, RunRecord(points=points, summary=summary)
 
 
-# -- derive steps: measured points -> result, summary and tables (_Kind) ------
+# -- summary.csv rows; derive steps: measured -> result and summary (_Kind) ---
 
 
 def _point_rows(kind: str, points: "Sequence[PointRecord]") -> list[list[str]]:
@@ -440,9 +443,10 @@ def _point_rows(kind: str, points: "Sequence[PointRecord]") -> list[list[str]]:
         for p in points)]
 
 
-def _line_endpoints(fit: LineFit, xs) -> tuple[list, list]:
-    lo, hi = float(min(xs)), float(max(xs))
-    return [lo, hi], [float(fit.predict(lo)), float(fit.predict(hi))]
+def _spectrum_rows(kind: str, spectrum: list) -> list[list[str]]:
+    """summary.csv of a transmission spectrum: its x and value columns, one row per point."""
+    columns = (_KINDS[kind].x_name, *_KINDS[kind].keys)
+    return [list(columns), *([_fmt(getattr(p, c)) for c in columns] for p in spectrum)]
 
 
 def _usable(points: "Sequence[PointRecord]", what: str) -> list[PointRecord]:
@@ -471,15 +475,7 @@ def _derive_spectroscopy(plan: StudyPlan, points: "Sequence[PointRecord]") -> tu
         ("delta_f_ac_hz", result.delta_f_ac_hz),
         ("delta_f_ac_err_hz", result.delta_f_ac_err_hz),
     )
-    if plan.out_dir is None:
-        return result, summary, None, None
-    xs = [p.delta_r_hz for p in result.points]
-    return result, summary, _point_rows(plan.kind, points), {
-        "input_points": (xs, [p.f_input_hz for p in result.points]),
-        "retrieved_points": (xs, [p.f_retrieved_hz for p in result.points]),
-        "input_line": _line_endpoints(result.input_fit, xs),
-        "retrieved_line": _line_endpoints(result.retrieved_fit, xs),
-    }
+    return result, summary
 
 
 def _regress_shifts(points: "Sequence[PointRecord]"):
@@ -517,10 +513,7 @@ def _derive_control_sweep(plan: StudyPlan, points: "Sequence[PointRecord]") -> t
         ("chi2_per_dof", fit.chi2_per_dof),
         ("model_slope_hz_per_intensity", plan.config.light_shift_hz(1.0)),
     )
-    if plan.out_dir is None:
-        return (triples, fit), summary, None, None
-    return (triples, fit), summary, _point_rows(plan.kind, points), {
-        "shift_points": (xs, ys), "shift_line": _line_endpoints(fit, xs)}
+    return (triples, fit), summary
 
 
 def _derive_signal_sweep(plan: StudyPlan, points: "Sequence[PointRecord]") -> tuple:
@@ -549,12 +542,7 @@ def _derive_signal_sweep(plan: StudyPlan, points: "Sequence[PointRecord]") -> tu
             ("restricted_slope_t_statistic", slope_significance(restricted)),
             ("restricted_n_points", float(restricted.n_points)),
         ]
-    if plan.out_dir is None:
-        return (triples, fits), tuple(summary), None, None
-    series = {"shift_points": (xs, ys), "shift_line": _line_endpoints(full, xs)}
-    if "restricted" in fits:
-        series["shift_line_restricted"] = _line_endpoints(restricted, xs[keep])
-    return (triples, fits), tuple(summary), _point_rows(plan.kind, points), series
+    return (triples, fits), tuple(summary)
 
 
 def _derive_dark_resonance(plan: StudyPlan, spectrum: list) -> tuple:
@@ -575,19 +563,15 @@ def _derive_dark_resonance(plan: StudyPlan, spectrum: list) -> tuple:
         ("peak_transmission", spectrum[i_peak].transmission),
         ("background_transmission", float(min(transmissions))),
     )
-    if plan.out_dir is None:
-        return spectrum, summary, None, None
-    columns = (_KINDS[plan.kind].x_name, *_KINDS[plan.kind].keys)
-    xs, *ys = ([getattr(p, c) for p in spectrum] for c in columns)
-    rows = [list(columns), *(list(map(_fmt, row)) for row in zip(xs, *ys))]
-    return spectrum, summary, rows, {c: (xs, y) for c, y in zip(columns[1:], ys)}
+    return spectrum, summary
 
 
 class _Kind(NamedTuple):
     """A study kind: its grid's StudyDefaults field, summary.csv's x and value columns,
-    and derive(plan, measured) -> (run_* result, result.csv's (key, value) summary,
-    summary.csv's rows, header first, {plotdata name: (xs, ys)}), the last two
-    None for a plan without an output directory."""
+    and derive(plan, measured) -> (run_* result, result.csv's (key, value) summary).
+
+    derive reads neither plan.out_dir nor any file: a persisted run and an
+    in-memory one derive the same result from the same measured points."""
 
     grid_field: str
     x_name: str

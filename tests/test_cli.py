@@ -323,7 +323,7 @@ def test_failed_sweep_rerun_leaves_none_of_the_earlier_run(tmp_path, capsys):
     assert sorted(p.name for p in (out / "points").iterdir()) == ["0", "1"]
     for name in ("run.json", "result.csv", "summary.csv"):
         assert not (out / name).exists(), name
-    assert not list((out / "plotdata").iterdir())
+    assert not (out / "plotdata").exists()
     assert (out / "notes.txt").read_text() == "mine\n"
 
 

@@ -53,11 +53,12 @@ def test_a_changed_cell_and_a_missing_file_are_reported(two_runs):
     lines[1] = ",".join(cells) + "\r\n"
     summary.write_text("".join(lines))
     (b / "points" / "0" / "trace.npz").unlink()
+    (b / "points" / "0" / "extra.csv").write_text("x,y\r\n")
     result = equivalence.compare_trees(a, b)
     assert not result.equal
     assert list(result.differing) == ["summary.csv"]
     assert result.differing["summary.csv"] == pytest.approx(1e-6, rel=1e-3)
-    assert result.unmatched == ["points/0/trace.npz"]
+    assert result.unmatched == {"points/0/extra.csv": "child", "points/0/trace.npz": "parent"}
 
 
 def _change_one_sample(path):

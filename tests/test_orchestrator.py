@@ -143,9 +143,7 @@ class TestRunSpectroscopy:
         out = tmp_path / "run"
         plan = StudyPlan.from_loaded(loaded, "spectroscopy", seed_base=3, out_dir=out)
         run_spectroscopy(plan)
-        for name in ("plan.cfg", "summary.csv", "result.csv", "run.json",
-                     "plotdata/input_points.csv", "plotdata/retrieved_points.csv",
-                     "plotdata/input_line.csv", "plotdata/retrieved_line.csv"):
+        for name in ("plan.cfg", "summary.csv", "result.csv", "run.json"):
             assert (out / name).is_file(), name
         n_points = len(loaded.study.delta_r_grid_hz)
         for i in range(n_points):
@@ -338,7 +336,6 @@ class TestControlSweep:
         assert abs(summary["intercept_t_statistic"]) < 2.0
         assert (out / "result.csv").is_file()
         assert (out / "points" / "0" / "plan.cfg").is_file()
-        assert (out / "plotdata" / "shift_points.csv").is_file()
 
     def test_persisted_parallel_matches_serial(self, loaded, tmp_path):
         outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
@@ -430,15 +427,14 @@ class TestSweepDerive:
                 for i, x in enumerate(xs)]
 
     @staticmethod
-    def _derive(loaded, kind, points, out_dir):
-        plan = StudyPlan.from_loaded(loaded, kind, seed_base=1, out_dir=out_dir)
+    def _derive(loaded, kind, points):
+        plan = StudyPlan.from_loaded(loaded, kind, seed_base=1)
         return orchestrator._KINDS[kind].derive(plan, points)
 
-    def test_an_excluded_intensity_keeps_its_error_in_the_rows(self, loaded, tmp_path):
-        out = tmp_path / "never-written"
-        (triples, fit), summary, rows, series = self._derive(
-            loaded, "control_sweep", self._points([1.0, 2.0, 3.0, 4.0], excluded={1}), out)
-        assert rows == [
+    def test_an_excluded_intensity_keeps_its_error_in_the_rows(self, loaded):
+        points = self._points([1.0, 2.0, 3.0, 4.0], excluded={1})
+        (triples, fit), summary = self._derive(loaded, "control_sweep", points)
+        assert orchestrator._point_rows("control_sweep", points) == [
             ["index", "intensity", "delta_f_ac_hz", "delta_f_ac_err_hz", "excluded", "error"],
             ["0", "1.0", "102.0", "1.0", "0", ""],
             ["1", "2.0", "", "", "1", "FitError: point 1 made up"],
@@ -448,21 +444,13 @@ class TestSweepDerive:
         assert triples == [(1.0, 102.0, 1.0), (3.0, 106.0, 1.0), (4.0, 108.0, 1.0)]
         assert dict(summary)["slope_hz_per_intensity"] == pytest.approx(2.0)
         assert fit.intercept == pytest.approx(100.0)
-        assert list(series) == ["shift_points", "shift_line"]
-        assert not out.exists()
-
-    def test_without_an_output_directory_no_tables_are_built(self, loaded):
-        result, summary, rows, series = self._derive(
-            loaded, "control_sweep", self._points([1.0, 2.0, 3.0]), None)
-        assert (rows, series) == (None, None)
-        assert dict(summary)["slope_hz_per_intensity"] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("kind", ["control_sweep", "signal_sweep"])
     def test_fewer_than_three_usable_intensities_fail(self, loaded, kind):
         points = self._points([1.0, 2.0, 3.0, 4.0], excluded={0, 2})
         with pytest.raises(OrchestrationError,
                            match=r"^only 2 of 4 sweep points usable; need >= 3$"):
-            self._derive(loaded, kind, points, None)
+            self._derive(loaded, kind, points)
 
     @pytest.mark.parametrize("fractions, excluded, n_restricted", [
         ((0.25, 0.5, 1.0, 2.0), (), 3),    # I_S = I_C counts
@@ -471,24 +459,20 @@ class TestSweepDerive:
         ((0.1, 0.2, 0.3, 0.4, 0.5), (), 5),
     ])
     def test_the_restricted_fit_needs_three_points_at_or_below_the_control_intensity(
-            self, loaded, tmp_path, fractions, excluded, n_restricted):
+            self, loaded, fractions, excluded, n_restricted):
         limit = loaded.config.control.intensity
         points = self._points([f * limit for f in fractions], excluded=set(excluded))
-        (triples, fits), summary, _, series = self._derive(loaded, "signal_sweep", points,
-                                                           tmp_path / "never-written")
+        (triples, fits), summary = self._derive(loaded, "signal_sweep", points)
         summary = dict(summary)
         restricted_keys = [k for k in summary if k.startswith("restricted_")]
         assert summary["control_intensity_limit"] == limit
         assert fits["full"].n_points == len(triples) == len(fractions) - len(excluded)
         if n_restricted is None:
             assert list(fits) == ["full"] and restricted_keys == []
-            assert "shift_line_restricted" not in series
         else:
             assert list(fits) == ["full", "restricted"]
             assert fits["restricted"].n_points == summary["restricted_n_points"] == n_restricted
             assert len(restricted_keys) == 4
-            xs, _ = series["shift_line_restricted"]
-            assert xs[1] <= limit
 
 
 class TestDarkResonance:
@@ -500,7 +484,6 @@ class TestDarkResonance:
         assert 10e3 <= summary["fwhm_hz"] <= 40e3
         assert summary["peak_delta_r_hz"] == pytest.approx(0.0, abs=1e-9)
         assert (out / "summary.csv").is_file()
-        assert (out / "plotdata" / "transmission.csv").is_file()
         header = (out / "summary.csv").read_text().splitlines()[0]
         assert header == "delta_r_hz,transmission,absorption_proxy"
 
@@ -579,11 +562,38 @@ class TestRunLifecycle:
         assert (meta["kind"], meta["seed_base"], meta["n_excluded"]) == (kind, 4, 0)
         assert meta["version"] == lightstore.__version__
 
+    @pytest.mark.parametrize("kind", STUDY_KINDS)
+    def test_a_persisted_run_writes_exactly_its_tables_and_points(self, noiseless, tmp_path,
+                                                                  kind):
+        small = replace(noiseless, study=replace(noiseless.study, repetitions=1))
+        out = tmp_path / "run"
+        RUNS[kind](StudyPlan.from_loaded(small, kind, seed_base=4, out_dir=out,
+                                         persist_traces=False))
+        expected = ["plan.cfg", "result.csv", "run.json", "summary.csv"]
+        if kind != "dark_resonance":
+            expected.append("points")
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
+    @pytest.mark.parametrize("kind", STUDY_KINDS)
+    def test_an_in_memory_run_builds_no_summary_rows(self, noiseless, tmp_path, monkeypatch,
+                                                     kind):
+        def refuse(*args):
+            raise AssertionError("summary.csv rows built")
+
+        for name in ("_point_rows", "_spectrum_rows"):
+            monkeypatch.setattr(orchestrator, name, refuse)
+        small = replace(noiseless, study=replace(noiseless.study, repetitions=1))
+        RUNS[kind](StudyPlan.from_loaded(small, kind, seed_base=4))
+        # the same plan persisted does build them
+        with pytest.raises(AssertionError, match="summary.csv rows built"):
+            RUNS[kind](StudyPlan.from_loaded(small, kind, seed_base=4, out_dir=tmp_path / "run",
+                                             persist_traces=False))
 
     def test_rerun_removes_what_the_earlier_run_wrote_and_nothing_else(self, loaded, tmp_path):
         # an earlier run's outputs go, including a trace.csv of the former
         # trace format and a point directory the new grid does not name
         out = tmp_path / "run"
+        # plotdata/ is no run's output now; one that a former run wrote goes too
         stale = ["result.csv", "summary.csv", "run.json", "plotdata/old_line.csv",
                  "points/0/trace.csv", "points/0/fits.csv", "points/12/trace.csv"]
         kept = ["notes.txt", "plotdata.txt", "points/notes.txt", "points/x/trace.csv",
@@ -599,6 +609,47 @@ class TestRunLifecycle:
         assert not (out / "plotdata" / "old_line.csv").exists()
         for rel in ("result.csv", "summary.csv", "run.json", "points/0/fits.csv"):
             assert (out / rel).read_text() != "earlier\n", rel
+
+
+def _usable_summary_points(run_dir):
+    """The usable rows of a run's summary.csv, read back as PointRecords."""
+    with open(run_dir / "summary.csv", newline="") as fh:
+        (_, _, *keys, _, _), *rows = csv.reader(fh)
+    return [PointRecord(index=int(row[0]), x=float(row[1]),
+                        values={k: float(v) for k, v in zip(keys, row[2:-2])})
+            for row in rows if row[-2] == "0"]
+
+
+def _line_fit_bits(fit):
+    return (fit.slope, fit.intercept, fit.slope_err, fit.intercept_err, fit.chi2_per_dof,
+            fit.n_points, fit.covariance.tobytes())
+
+
+class TestNothingLost:
+    """What a run's derive step makes of its points follows from summary.csv alone."""
+
+    @pytest.mark.parametrize("kind", ["spectroscopy", "control_sweep", "signal_sweep"])
+    def test_summary_csv_derives_result_csv_byte_for_byte(self, loaded, tmp_path, kind):
+        out = tmp_path / "run"
+        RUNS[kind](StudyPlan.from_loaded(loaded, kind, seed_base=8, out_dir=out,
+                                         persist_traces=False))
+        plan = StudyPlan.from_loaded(load_config(out / "plan.cfg"), kind)
+        _, summary = orchestrator._KINDS[kind].derive(plan, _usable_summary_points(out))
+        text = "key,value\r\n" + "".join(f"{k},{float(v)!r}\r\n" for k, v in summary)
+        assert text.encode() == (out / "result.csv").read_bytes()
+
+    def test_the_signal_sweep_lines_follow_from_summary_csv(self, loaded, tmp_path):
+        out = tmp_path / "run"
+        run_signal_sweep(StudyPlan.from_loaded(loaded, "signal_sweep", seed_base=8, out_dir=out,
+                                               persist_traces=False))
+        plan = StudyPlan.from_loaded(load_config(out / "plan.cfg"), "signal_sweep")
+        (_, fits), _ = orchestrator._KINDS["signal_sweep"].derive(
+            plan, _usable_summary_points(out))
+        _, in_memory, _ = run_signal_sweep(StudyPlan.from_loaded(loaded, "signal_sweep",
+                                                                 seed_base=8))
+        assert list(fits) == list(in_memory) == ["full", "restricted"]
+        for name, fit in fits.items():
+            assert _line_fit_bits(fit) == _line_fit_bits(in_memory[name]), name
 
 
 class TestStudyPlan:

@@ -7,7 +7,8 @@ signal sweep and the dark resonance.  After them it writes a CSV copy of
 the first study's ``points/0/trace.npz`` with NumPy alone, in the trace CSV
 format of the README, and runs ``init-config``, then ``fit`` on the
 ``.npz`` and on the CSV copy.  Then it compares the two trees of outputs
-file by file.  ``run.json`` may differ only in its timing; every other
+file by file, and names the tree of a file that only one of them holds.
+``run.json`` may differ only in its timing; every other
 file must be byte-identical.  For a CSV or ``.npz`` trace file that is
 not, it prints the largest relative difference of any value; for a ``.cfg``
 file, the lines that only the parent's has and those that only the child's
@@ -82,8 +83,8 @@ class Comparison:
     # relative path of a differing .cfg file -> (lines only a has, lines only b has)
     differing_lines: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = field(
         default_factory=dict)
-    # relative paths present in only one of the trees
-    unmatched: list[str] = field(default_factory=list)
+    # relative path present in only one of the trees -> that tree, "parent" or "child"
+    unmatched: dict[str, str] = field(default_factory=dict)
 
     @property
     def equal(self) -> bool:
@@ -195,7 +196,8 @@ def compare_trees(dir_a: Path, dir_b: Path) -> Comparison:
     """
     files_a = {p.relative_to(dir_a).as_posix() for p in dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(dir_b).as_posix() for p in dir_b.rglob("*") if p.is_file()}
-    result = Comparison(unmatched=sorted(files_a ^ files_b))
+    result = Comparison(unmatched={rel: "parent" if rel in files_a else "child"
+                                   for rel in sorted(files_a ^ files_b)})
     for rel in sorted(files_a & files_b):
         worst = _difference(dir_a / rel, dir_b / rel)
         if worst is None:
@@ -309,8 +311,8 @@ def main(argv=None) -> int:
                 for side, lines in (("parent", only_a), ("child", only_b)):
                     for line in lines:
                         print(f"    only in {side}  {line}")
-            for rel in result.unmatched:
-                print(f"  only in one tree  {rel}")
+            for rel, side in result.unmatched.items():
+                print(f"  only in {side}  {rel}")
             if result.differing:
                 print(f"  max relative |delta| of any differing cell: "
                       f"{max(result.differing.values()):.3g}")
