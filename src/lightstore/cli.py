@@ -19,7 +19,6 @@ from . import __version__
 from .analysis import FitError
 from .atom import DegenerateSteadyStateError
 from .configfile import default_config, dump_config, load_config
-from .model import ConfigurationError
 from .orchestrator import (
     OrchestrationError,
     StudyPlan,
@@ -173,9 +172,6 @@ def main(argv=None) -> int:
             return _run_fit(args)
         kind = args.command.replace("-", "_")
         return _run_study(args, kind)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TraceParseError as exc:
         print(f"trace parse error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -186,7 +182,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigurationError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,9 +15,9 @@ Grids accept either comma-separated values or "lin:start:stop:n".
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -25,16 +25,23 @@ from .model import (
     EXCITED_STATES,
     GROUNDS,
     TWO_PI,
+    Checked,
     ConfigurationError,
+    Count,
     ExperimentConfig,
     FieldConfig,
+    FiniteGrid,
     LevelScheme,
     LightShiftModel,
     MagneticEnvironment,
+    NonNegative,
+    NonNegativeGrid,
     PulseSequence,
     ShiftCoupling,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    Window,
+    one_of,
 )
 
 AVERAGE_TRACES = "average-traces"
@@ -56,45 +63,27 @@ DEFAULT_DURATIONS_S = {
 }
 
 
-def check_window(name: str, window) -> None:
-    """Raise ConfigurationError, naming the window, unless it is two finite times t_a < t_b."""
-    if not (len(window) == 2 and np.all(np.isfinite(window)) and window[0] < window[1]):
-        raise ConfigurationError(f"{name} must be two finite times t_a < t_b, got {window!r}")
-
-
 @dataclass(frozen=True)
-class StudyDefaults:
+class StudyDefaults(Checked):
     """Grids, repetition count and analysis windows for the canned studies."""
 
-    delta_r_grid_hz: tuple[float, ...]
-    dark_resonance_grid_hz: tuple[float, ...]
-    control_intensity_grid: tuple[float, ...]
-    signal_intensity_grid: tuple[float, ...]
-    repetitions: int = 10
-    average_mode: str = AVERAGE_TRACES
-    guard_s: float = 2.0e-6
-    input_window_s: tuple[float, float] | None = None
-    retrieved_window_s: tuple[float, float] | None = None
+    delta_r_grid_hz: FiniteGrid
+    dark_resonance_grid_hz: FiniteGrid
+    control_intensity_grid: NonNegativeGrid
+    signal_intensity_grid: NonNegativeGrid
+    repetitions: Count = 10
+    average_mode: Annotated[str, one_of(AVERAGE_TRACES, FIT_THEN_AVERAGE)] = AVERAGE_TRACES
+    guard_s: NonNegative = 2.0e-6
+    input_window_s: Window | None = None
+    retrieved_window_s: Window | None = None
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
-        if self.average_mode not in (AVERAGE_TRACES, FIT_THEN_AVERAGE):
-            raise ConfigurationError(f"unknown average_mode {self.average_mode!r}")
-        if not self.guard_s >= 0.0:
-            raise ConfigurationError(f"guard_s must be >= 0, got {self.guard_s!r}")
-        for name in ("input_window_s", "retrieved_window_s"):
-            if getattr(self, name) is not None:
-                check_window(name, getattr(self, name))
+        super().__post_init__()
         for name in ("delta_r_grid_hz", "dark_resonance_grid_hz",
                      "control_intensity_grid", "signal_intensity_grid"):
             grid = getattr(self, name)
-            if len(grid) == 0:
-                raise ConfigurationError(f"{name} is empty")
-            if not np.all(np.isfinite(grid)):
-                raise ConfigurationError(f"{name} has a non-finite value")
             if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigurationError(f"{name} must be strictly increasing")
+                raise ConfigurationError("must be strictly increasing", field=name)
 
 
 @dataclass(frozen=True)
@@ -163,12 +152,10 @@ def default_config() -> LoadedExperiment:
 # -- parsing ---------------------------------------------------------------
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _parse_grid(raw: str) -> tuple[float, ...]:
@@ -178,15 +165,8 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid shorthand must be lin:start:stop:n, got {raw!r}")
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
-        return tuple(np.linspace(start, stop, n))
+        return _as_floats(np.linspace(start, stop, n))
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _parse_window(raw: str) -> tuple[float, float]:
-    values = [float(tok) for tok in raw.replace(",", " ").split()]
-    if len(values) != 2:
-        raise ValueError(f"window needs two times, got {raw!r}")
-    return (values[0], values[1])
 
 
 def _parse_couplings(raw: str) -> tuple[ShiftCoupling, ...]:
@@ -200,13 +180,6 @@ def _parse_couplings(raw: str) -> tuple[ShiftCoupling, ...]:
             raise ValueError(f"coupling line needs 'detuning_rad cg_sq', got {line!r}")
         couplings.append(ShiftCoupling(float(toks[0]), float(toks[1])))
     return tuple(couplings)
-
-
-def _non_negative(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"must be >= 0 and finite, got {raw.strip()!r}")
-    return value
 
 
 def _optional(parse):
@@ -227,9 +200,9 @@ def _transition(key: str) -> tuple[str, str, str]:
     return parts
 
 # The config file format: section -> (object the section sets, {key: parser}),
-# in file order.  Each key names the attribute it sets on that object; "config"
-# is the ExperimentConfig itself, "durations" the PulseSequence.standard
-# arguments and "plan" the plan_* fields of LoadedExperiment.
+# in file order.  Each key names the attribute it sets on that object, which
+# declares its domain; "config" is the ExperimentConfig itself, "durations" the
+# PulseSequence.standard arguments and "plan" the plan_* fields of LoadedExperiment.
 _FORMAT = {
     "level_scheme": ("level_scheme", {
         "gamma_e_rad": float, "gamma_gg_rad": float, "second_excited_offset_hz": float,
@@ -239,18 +212,17 @@ _FORMAT = {
     "clebsch_weights": ("clebsch_weights", None),
     # readout_intensity: retrieval drive, empty = same as intensity
     "control": ("control", {
-        "intensity": _non_negative, "polarization": str,
-        "readout_intensity": _optional(_non_negative),
+        "intensity": float, "polarization": str, "readout_intensity": _optional(float),
     }),
     "signal": ("signal", {
-        "intensity": _non_negative, "one_photon_detuning_rad": float, "polarization": str,
+        "intensity": float, "one_photon_detuning_rad": float, "polarization": str,
         "angle_alpha_rad": float,
     }),
     "magnetic": ("magnetic", {"b0_gauss": float, "g_f": float}),
     "experiment": ("config", {
-        "delta_r_hz": float, "sample_rate_hz": float, "trace_noise_sigma": _non_negative,
+        "delta_r_hz": float, "sample_rate_hz": float, "trace_noise_sigma": float,
         "control_leak_fraction": float, "storage_efficiency": float,
-        "retrieval_decay_time_s": float, "rng_seed": int, "kappa_rad2": _non_negative,
+        "retrieval_decay_time_s": float, "rng_seed": int, "kappa_rad2": float,
         "od_eff": float, "coupling_gn_rad": float, "include_second_excited": _parse_bool,
     }),
     # couplings: one "detuning_rad cg_sq" pair per line
@@ -264,8 +236,8 @@ _FORMAT = {
     }),
     # windows: optional "t_a, t_b" overrides of the guarded phase windows
     "analysis": ("study", {
-        "guard_s": float, "input_window_s": _optional(_parse_window),
-        "retrieved_window_s": _optional(_parse_window),
+        "guard_s": float, "input_window_s": _optional(_parse_grid),
+        "retrieved_window_s": _optional(_parse_grid),
     }),
     # written into run snapshots only
     "plan": ("plan", {"kind": _optional(str), "seed_base": int}),
@@ -308,22 +280,31 @@ def load_config(path: "str | Path") -> LoadedExperiment:
 
     base = default_config()
     cfg = base.config
-    scheme = replace(cfg.level_scheme, **values["level_scheme"],
-                     clebsch_weights=tuple(values["clebsch_weights"].items()))
-    config = replace(
-        cfg,
-        level_scheme=scheme,
-        **{name: replace(getattr(cfg, name), **values[name])
-           for name in ("control", "signal", "magnetic", "light_shift")},
-        **values["config"],
-    )
+    weights = tuple(values["clebsch_weights"].items())
+    scheme = _build(("level_scheme", "clebsch_weights"), replace, cfg.level_scheme,
+                    **values["level_scheme"], clebsch_weights=weights)
+    fields = {name: _build((name,), replace, getattr(cfg, name), **values[name])
+              for name in ("control", "signal", "magnetic", "light_shift")}
+    config = _build(("config",), replace, cfg, level_scheme=scheme, **fields, **values["config"])
     return LoadedExperiment(
         config=config,
-        sequence=PulseSequence.standard(**{**DEFAULT_DURATIONS_S, **values["durations"]}),
-        study=replace(base.study, **values["study"]),
+        sequence=_build(("durations",), PulseSequence.standard,
+                        **{**DEFAULT_DURATIONS_S, **values["durations"]}),
+        study=_build(("study",), replace, base.study, **values["study"]),
         plan_kind=values["plan"].get("kind"),
         plan_seed_base=values["plan"].get("seed_base"),
     )
+
+
+def _build(targets: tuple[str, ...], make, *args, **kwargs):
+    """make(*args, **kwargs); an error about a field of the targets names its [section] key."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigurationError as exc:
+        for section, (target, keys) in _FORMAT.items():
+            if exc.field is not None and target in targets and (keys is None or exc.field in keys):
+                raise ConfigurationError(f"[{section}] {exc.field}: {exc.message}") from exc
+        raise
 
 
 # -- writing ---------------------------------------------------------------

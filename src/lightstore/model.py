@@ -10,9 +10,13 @@ saturation intensity.
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import math
+import typing
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Annotated, Any, Callable, NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,7 +39,78 @@ EXCITED_STATES = (EXCITED, SECOND_EXCITED)
 
 
 class ConfigurationError(ValueError):
-    """Invalid or inconsistent experiment configuration."""
+    """Invalid or inconsistent configuration; one about a field's value names the field."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message if field is None else f"{field} {message}")
+        self.message, self.field = message, field
+
+
+class Domain(NamedTuple):
+    """The values a field may hold, declared once in its annotation (``x: NonNegative``)."""
+
+    text: str
+    holds: Callable[[Any], bool]
+
+
+def one_of(*choices) -> Domain:
+    return Domain(f"one of {choices!r}", choices.__contains__)
+
+
+def _grid(entry: Domain) -> Domain:
+    return Domain(f"non-empty with every entry {entry.text}",
+                  lambda grid: len(grid) > 0 and all(map(entry.holds, grid)))
+
+
+FINITE = Domain("finite", math.isfinite)
+NON_NEGATIVE = Domain(">= 0 and finite", lambda v: 0.0 <= v < math.inf)
+Finite = Annotated[float, FINITE]
+NonNegative = Annotated[float, NON_NEGATIVE]
+Positive = Annotated[float, Domain("finite and > 0", lambda v: 0.0 < v < math.inf)]
+Fraction = Annotated[float, Domain("in [0, 1]", lambda v: 0.0 <= v <= 1.0)]
+Integer = Annotated[int, Domain("an integer", lambda v: v % 1 == 0)]
+Count = Annotated[int, Domain("an integer >= 1", lambda v: v >= 1 and v % 1 == 0)]
+Flag = Annotated[bool, one_of(False, True)]
+Window = Annotated[tuple[float, float], Domain("two finite times t_a < t_b", lambda w: (
+    len(w) == 2 and all(map(math.isfinite, w)) and w[0] < w[1]))]
+FiniteGrid = Annotated[tuple[float, ...], _grid(FINITE)]
+NonNegativeGrid = Annotated[tuple[float, ...], _grid(NON_NEGATIVE)]
+
+
+@functools.cache
+def declared_domains(owner) -> dict[str, Domain]:
+    """{name: domain} of the annotations of a class or function.
+
+    ``X | None`` declares X's domain for a name that may also be None.
+    """
+    table = {}
+    for name, hint in typing.get_type_hints(owner, include_extras=True).items():
+        optional = type(None) in typing.get_args(hint)
+        hint = typing.get_args(hint)[0] if optional else hint
+        domains = [m for m in getattr(hint, "__metadata__", ()) if isinstance(m, Domain)]
+        if len(domains) > 1:
+            raise TypeError(f"{owner.__qualname__} declares {len(domains)} domains for {name}")
+        if domains:
+            text, holds = domains[0]
+            table[name] = Domain(text, (lambda v, h=holds: v is None or h(v)) if optional else holds)
+    return table
+
+
+def check_domains(owner, values) -> None:
+    """Raise ConfigurationError naming the first of ``values`` outside its declared domain.
+
+    ``owner`` is the class or function whose annotations declare the domains.
+    """
+    for name, domain in declared_domains(owner).items():
+        if not domain.holds(values[name]):
+            raise ConfigurationError(f"must be {domain.text}, got {values[name]!r}", field=name)
+
+
+class Checked:
+    """Base of the dataclasses whose __post_init__ first checks every declared domain."""
+
+    def __post_init__(self) -> None:
+        check_domains(type(self), vars(self))
 
 
 def rabi_from_intensity(intensity: float, cg: float, kappa: float) -> float:
@@ -46,15 +121,11 @@ def rabi_from_intensity(intensity: float, cg: float, kappa: float) -> float:
     mapping normalized intensity to coupling strength and cg is the relative
     transition amplitude of the addressed leg.
     """
-    if intensity < 0.0:
-        raise ValueError(f"intensity must be >= 0, got {intensity}")
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
     return math.sqrt(kappa * intensity) * abs(cg)
 
 
 @dataclass(frozen=True)
-class LevelScheme:
+class LevelScheme(Checked):
     """States, transition amplitudes and rates of the effective lambda system.
 
     The basis is |g_minus>, |g_plus>, |e> and, when the experiment includes
@@ -64,15 +135,13 @@ class LevelScheme:
     amplitude has amplitude 0.
     """
 
-    gamma_e_rad: float = GAMMA_E_DEFAULT_RAD
-    gamma_gg_rad: float = TWO_PI * 500.0
-    second_excited_offset_hz: float = 814.5e6
+    gamma_e_rad: NonNegative = GAMMA_E_DEFAULT_RAD
+    gamma_gg_rad: NonNegative = TWO_PI * 500.0
+    second_excited_offset_hz: Finite = 814.5e6
     clebsch_weights: tuple[tuple[tuple[str, str, str], float], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("gamma_e_rad", "gamma_gg_rad"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        super().__post_init__()
         if self.gamma_e_rad > 0.0 and self.gamma_gg_rad > 0.1 * self.gamma_e_rad:
             warnings.warn(
                 "gamma_gg is not small compared to gamma_e; the ground coherence "
@@ -82,10 +151,11 @@ class LevelScheme:
         if not self.clebsch_weights:
             object.__setattr__(self, "clebsch_weights", self.default_weights())
         for (g, e, pol), w in self.clebsch_weights:
-            if not math.isfinite(w):
-                raise ConfigurationError(f"non-finite transition amplitude for ({g}, {e}, {pol})")
+            key = f"{g}/{e}/{pol}"  # the weight's [clebsch_weights] key
             if pol not in POLARIZATIONS:
-                raise ConfigurationError(f"unknown polarization {pol!r}")
+                raise ConfigurationError(f"names no polarization of {POLARIZATIONS}", field=key)
+            if not math.isfinite(w):
+                raise ConfigurationError(f"must be finite, got {w!r}", field=key)
 
     @staticmethod
     def default_weights() -> tuple[tuple[tuple[str, str, str], float], ...]:
@@ -101,7 +171,7 @@ class LevelScheme:
 
 
 @dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(Checked):
     """One optical field: drive strength, detuning, polarization, geometry.
 
     ``rabi_frequency_rad`` is the coupling on the field's primary leg and
@@ -116,29 +186,21 @@ class FieldConfig:
     drive differ from the preparation drive; None means "same as intensity".
     """
 
-    intensity: float
-    polarization: str
-    one_photon_detuning_rad: float = 0.0
-    angle_alpha_rad: float = 0.0
-    readout_intensity: float | None = None
+    intensity: NonNegative
+    polarization: Annotated[str, one_of(*POLARIZATIONS)]
+    one_photon_detuning_rad: Finite = 0.0
+    angle_alpha_rad: Finite = 0.0
+    readout_intensity: NonNegative | None = None
     rabi_frequency_rad: float = field(default=math.nan, init=False)
     unit_rabi_rad: float = field(default=math.nan, init=False)
 
-    def __post_init__(self) -> None:
-        if self.polarization not in POLARIZATIONS:
-            raise ConfigurationError(f"unknown polarization {self.polarization!r}")
-        if not self.intensity >= 0.0:
-            raise ConfigurationError("intensity must be >= 0")
-        if self.readout_intensity is not None and not self.readout_intensity >= 0.0:
-            raise ConfigurationError("readout_intensity must be >= 0")
-
 
 @dataclass(frozen=True)
-class MagneticEnvironment:
+class MagneticEnvironment(Checked):
     """Bias field and the resulting ground-state Zeeman splitting."""
 
-    b0_gauss: float
-    g_f: float = G_F_DEFAULT
+    b0_gauss: Finite
+    g_f: Finite = G_F_DEFAULT
 
     def zeeman_splitting(self) -> float:
         """Splitting 2 g_F mu_B B0 / h (Hz) between the Delta m_F = 2 grounds."""
@@ -146,7 +208,7 @@ class MagneticEnvironment:
 
 
 @dataclass(frozen=True)
-class ShiftCoupling:
+class ShiftCoupling(Checked):
     """One off-resonant coupling contributing to the differential light shift.
 
     ``cg_sq`` is the effective squared transition amplitude; its sign encodes
@@ -154,17 +216,12 @@ class ShiftCoupling:
     resonance frequency).
     """
 
-    detuning_rad: float
-    cg_sq: float
-
-    def __post_init__(self) -> None:
-        for name in ("detuning_rad", "cg_sq"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+    detuning_rad: Finite
+    cg_sq: Finite
 
 
 @dataclass(frozen=True)
-class LightShiftModel:
+class LightShiftModel(Checked):
     """Differential ac Stark shift of the ground splitting, linear in intensity.
 
     The shift per unit normalized intensity is
@@ -175,11 +232,7 @@ class LightShiftModel:
     """
 
     couplings: tuple[ShiftCoupling, ...]
-    linewidth_rad: float
-
-    def __post_init__(self) -> None:
-        if not self.linewidth_rad >= 0.0:
-            raise ConfigurationError("linewidth_rad must be >= 0")
+    linewidth_rad: NonNegative
 
     def slope_per_intensity_hz(self, kappa_rad2: float) -> float:
         """Shift (Hz) per unit I/I_sat under the intensity calibration kappa_rad2."""
@@ -245,21 +298,15 @@ class PulseSequence:
     @classmethod
     def standard(
         cls,
-        preparation_s: float,
-        input_s: float,
-        storage_s: float,
-        readout_s: float,
+        preparation_s: Positive,
+        input_s: Positive,
+        storage_s: Positive,
+        readout_s: Positive,
     ) -> "PulseSequence":
-        """Build the canonical four-phase sequence starting at t = 0.
-
-        Each duration must be finite and > 0; an error names its argument.
-        """
-        edges = [0.0]
-        for name, d in (("preparation_s", preparation_s), ("input_s", input_s),
-                        ("storage_s", storage_s), ("readout_s", readout_s)):
-            if not (math.isfinite(d) and d > 0.0):
-                raise ConfigurationError(f"{name} must be finite and > 0, got {d!r}")
-            edges.append(edges[-1] + d)
+        """Build the canonical four-phase sequence starting at t = 0."""
+        check_domains(PulseSequence.standard, locals())
+        edges = list(itertools.accumulate((preparation_s, input_s, storage_s, readout_s),
+                                          initial=0.0))
         return cls(
             segments=(
                 Segment(PHASE_PREPARATION, edges[0], edges[1], True, False),
@@ -289,7 +336,7 @@ class PulseSequence:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Checked):
     """Complete parameter set for one light-storage experiment.
 
     Aggregates the level scheme, both optical fields, the magnetic
@@ -306,36 +353,24 @@ class ExperimentConfig:
     signal: FieldConfig
     magnetic: MagneticEnvironment
     light_shift: LightShiftModel
-    delta_r_hz: float = 0.0
-    sample_rate_hz: float = 2.0e7
-    trace_noise_sigma: float = 0.05
-    control_leak_fraction: float = 0.1
-    storage_efficiency: float = 0.25
-    retrieval_decay_time_s: float = 10.0e-6
-    rng_seed: int = 12345
-    kappa_rad2: float = 0.0
-    od_eff: float = 3.0
-    coupling_gn_rad: float = TWO_PI * 5.0e6
-    include_second_excited: bool = False
+    delta_r_hz: Finite = 0.0
+    sample_rate_hz: Positive = 2.0e7
+    trace_noise_sigma: NonNegative = 0.05
+    control_leak_fraction: Fraction = 0.1
+    storage_efficiency: Fraction = 0.25
+    retrieval_decay_time_s: Positive = 10.0e-6
+    rng_seed: Integer = 12345
+    kappa_rad2: NonNegative = 0.0
+    od_eff: NonNegative = 3.0
+    coupling_gn_rad: NonNegative = TWO_PI * 5.0e6
+    include_second_excited: Flag = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.control_leak_fraction <= 1.0:
-            raise ConfigurationError("control_leak_fraction must be in [0, 1]")
-        if not 0.0 <= self.storage_efficiency <= 1.0:
-            raise ConfigurationError("storage_efficiency must be in [0, 1]")
-        if not self.retrieval_decay_time_s > 0.0:
-            raise ConfigurationError(
-                f"retrieval_decay_time_s must be > 0, got {self.retrieval_decay_time_s!r}"
-            )
-        for name in ("trace_noise_sigma", "kappa_rad2", "od_eff", "coupling_gn_rad"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        super().__post_init__()
         nyquist_demand = 4.0 * (self.magnetic.zeeman_splitting() + abs(self.delta_r_hz))
-        if not nyquist_demand < self.sample_rate_hz < math.inf:
-            raise ConfigurationError(
-                f"sample_rate_hz {self.sample_rate_hz} Hz violates the Nyquist margin; "
-                f"need finite and > {nyquist_demand} Hz"
-            )
+        if not nyquist_demand < self.sample_rate_hz:
+            raise ConfigurationError(f"{self.sample_rate_hz} Hz violates the Nyquist margin; "
+                                     f"need finite and > {nyquist_demand} Hz", field="sample_rate_hz")
         # Fields are shared between configs, so a field whose coupling
         # differs (a field new to its slot) is swapped for a copy rather than
         # changed in place.  Only such a field is checked for the slot's

@@ -32,7 +32,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -54,15 +54,20 @@ from .configfile import (
     AVERAGE_TRACES,
     LoadedExperiment,
     StudyDefaults,
-    check_window,
     dump_config,
     load_config,
 )
 from .model import (
+    Checked,
     ConfigurationError,
+    Count,
     ExperimentConfig,
+    Integer,
     PulseSequence,
     TWO_PI,
+    Window,
+    check_domains,
+    one_of,
     with_readout_intensity,
     with_signal_intensity,
 )
@@ -114,23 +119,20 @@ def point_seed(seed_base: int, index: int, rep: int = 0) -> int:
 
 
 @dataclass(frozen=True)
-class StudyPlan:
+class StudyPlan(Checked):
     """One study: kind, base configuration, grids and execution knobs."""
 
-    kind: str
+    kind: Annotated[str, one_of(*STUDY_KINDS)]
     config: ExperimentConfig
     sequence: PulseSequence
     study: StudyDefaults
-    seed_base: int
+    seed_base: Integer
     out_dir: Path | None = None
-    jobs: int = 1
+    jobs: Count = 1
     persist_traces: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown study kind {self.kind!r}")
-        if self.jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
+        super().__post_init__()
         if self.kind != "dark_resonance":
             default_windows(self.sequence, self.study)
 
@@ -677,7 +679,7 @@ def run_dark_resonance(plan: StudyPlan) -> tuple[list, RunRecord]:
 def fit_only(
     trace_path: "Path | str",
     out_dir: "Path | str",
-    window: tuple[float, float] | None = None,
+    window: Window | None = None,
     f_guess: float | None = None,
     with_envelope: bool = False,
 ) -> BeatFitResult:
@@ -687,8 +689,7 @@ def fit_only(
     studies, with window id "fit".  A window that is not two finite times
     t_a < t_b is a ConfigurationError, raised before the trace is read.
     """
-    if window is not None:
-        check_window("window", window)
+    check_domains(fit_only, {"window": window})
     trace = read_trace_csv(trace_path)
     if window is None:
         window = (trace.t0_s, trace.t0_s + trace.duration_s)

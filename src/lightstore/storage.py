@@ -27,9 +27,12 @@ import numpy as np
 
 from .model import (
     TWO_PI,
+    Checked,
     ConfigurationError,
     ExperimentConfig,
+    Finite,
     MagneticEnvironment,
+    Positive,
     PulseSequence,
     PHASE_INPUT,
     PHASE_READOUT,
@@ -55,15 +58,11 @@ class TraceParseError(ValueError):
 def mixing_angle(gn_rad: float, omega_c_rad: float) -> float:
     """Polariton mixing angle, tan(theta) = g sqrt(N) / Omega_C, in [0, pi/2].
 
-    gn_rad is the collective coupling g sqrt(N).  theta -> 0 is fully
+    gn_rad >= 0 is the collective coupling g sqrt(N).  theta -> 0 is fully
     photonic (strong control), theta = pi/2 is a pure spin wave (control
     off); with no coupling and no drive nothing is read out, so that case is
     pi/2 too.
     """
-    if gn_rad < 0.0:
-        raise ValueError("coupling must be >= 0")
-    if omega_c_rad < 0.0:
-        raise ValueError("control Rabi frequency must be >= 0")
     if gn_rad == 0.0 and omega_c_rad == 0.0:
         return 0.5 * math.pi
     return math.atan2(gn_rad, omega_c_rad)
@@ -104,11 +103,11 @@ def input_beat_frequency(config: ExperimentConfig) -> float:
 
 
 @dataclass(frozen=True)
-class PhotodiodeTrace:
+class PhotodiodeTrace(Checked):
     """Uniformly sampled detector record of the full pulse sequence."""
 
-    t0_s: float
-    sample_rate_hz: float
+    t0_s: Finite
+    sample_rate_hz: Positive
     samples: np.ndarray
 
     def __post_init__(self) -> None:
@@ -119,10 +118,7 @@ class PhotodiodeTrace:
             raise ValueError("samples contain non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if not (self.sample_rate_hz > 0.0 and math.isfinite(self.sample_rate_hz)):
-            raise ValueError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz!r}")
-        if not math.isfinite(self.t0_s):
-            raise ValueError(f"t0_s must be finite, got {self.t0_s!r}")
+        super().__post_init__()
 
     @property
     def n_samples(self) -> int:

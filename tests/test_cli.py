@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import lightstore
 from lightstore.cli import main
-from lightstore.configfile import default_config, dump_config
+from lightstore.configfile import _make_parser, default_config, dump_config
 from lightstore.orchestrator import OrchestrationError, reanalyze_spectroscopy
 from lightstore.storage import PhotodiodeTrace, read_trace_csv
 
@@ -188,7 +190,9 @@ def test_non_finite_grid_exits_1_before_writing(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["dark-resonance", "--config", str(bad), "--out", str(out)])
     assert code == 1
-    assert "dark_resonance_grid_hz has a non-finite value" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "configuration error: [study] dark_resonance_grid_hz: must be non-empty with every "
+        "entry finite, got (0.0, nan, 5.0)\n")
     assert not out.exists()
 
 
@@ -225,6 +229,53 @@ def test_infinite_value_exits_1_naming_its_key(tmp_path, capsys, section, key):
     assert not out.exists()
 
 
+def _number_keys() -> list[tuple[str, str]]:
+    """(section, key) of every key a run snapshot of the defaults writes as one number."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.cfg"
+        dump_config(replace(default_config(), plan_kind="spectroscopy", plan_seed_base=1), path)
+        parser = _make_parser()
+        parser.read(path)
+    keys = []
+    for section in parser.sections():
+        for key, value in parser[section].items():
+            try:
+                float(value)
+            except ValueError:
+                continue
+            keys.append((section, key))
+    return keys
+
+
+NUMBER_KEYS = _number_keys()
+
+
+@pytest.mark.parametrize("command", ["spectroscopy", "dark-resonance"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key", NUMBER_KEYS, ids=[f"{s}.{k}" for s, k in NUMBER_KEYS])
+def test_a_non_finite_value_exits_1_naming_its_section_and_key(tmp_path, capsys, section, key,
+                                                               value, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out), "--no-traces"]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: [{section}] {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("control-sweep", "control_intensity_grid"),
+                                          ("signal-sweep", "signal_intensity_grid")])
+def test_a_negative_intensity_grid_entry_exits_1_naming_the_grid(tmp_path, capsys, command, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"[study]\n{key} = -1.0, 2.0, 4.0\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out), "--no-traces"]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: [study] {key}: must be non-empty with every entry >= 0 and "
+        "finite, got (-1.0, 2.0, 4.0)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["spectroscopy", "dark-resonance"])
 @pytest.mark.parametrize("typo", ["g_mnus/e/sigma_plus", "g_minus/e3/sigma_plus"])
 def test_a_misspelled_clebsch_weight_exits_1_naming_it(tmp_path, capsys, command, typo):
@@ -235,6 +286,19 @@ def test_a_misspelled_clebsch_weight_exits_1_naming_it(tmp_path, capsys, command
     assert capsys.readouterr().err == (
         "configuration error: clebsch_weights key must be ground/excited/polarization with "
         f"ground in ('g_minus', 'g_plus') and excited in ('e', 'e2'), got '{typo}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectroscopy", "dark-resonance"])
+def test_a_clebsch_weight_of_an_unknown_polarization_exits_1_naming_its_key(tmp_path, capsys,
+                                                                           command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[clebsch_weights]\ng_minus/e/sigma_x = 1.0\ng_plus/e/sigma_minus = 1.0\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: [clebsch_weights] g_minus/e/sigma_x: names no polarization of "
+        "('sigma_plus', 'sigma_minus')\n")
     assert not out.exists()
 
 
@@ -340,13 +404,13 @@ _TRACE_ROWS = "0.0,1.0\r\n5e-08,1.5\r\n"
 
 @pytest.mark.parametrize("name, text, code, message", [
     ("exp.cfg", "[level_scheme]\ngamma_e_rad = nan\n", 1,
-     "configuration error: gamma_e_rad must be >= 0, got nan"),
+     "configuration error: [level_scheme] gamma_e_rad: must be >= 0 and finite, got nan"),
     ("exp.cfg", "[level_scheme]\ngamma_gg_rad = nan\n", 1,
-     "configuration error: gamma_gg_rad must be >= 0, got nan"),
+     "configuration error: [level_scheme] gamma_gg_rad: must be >= 0 and finite, got nan"),
     ("exp.cfg", "[light_shift]\ncouplings = nan 1.0\n", 1,
      "configuration error: [light_shift] couplings: detuning_rad must be finite, got nan"),
     ("exp.cfg", "[analysis]\nguard_s = nan\n", 1,
-     "configuration error: guard_s must be >= 0, got nan"),
+     "configuration error: [analysis] guard_s: must be >= 0 and finite, got nan"),
     ("trace.csv", "# sample_rate_hz=nan t0_s=0.0\n" + _TRACE_ROWS, 3,
      "trace parse error: line 1: sample_rate_hz must be finite and > 0, got nan"),
     ("trace.csv", "# sample_rate_hz=inf t0_s=0.0\n" + _TRACE_ROWS, 3,
@@ -437,9 +501,9 @@ def test_fit_window_that_is_not_t_a_before_t_b_exits_1(tmp_path, capsys, write_c
 @pytest.mark.parametrize("command", ["spectroscopy", "control-sweep"])
 @pytest.mark.parametrize("line, message", [
     ("input_window_s = 8.0e-5, 4.0e-5",
-     "input_window_s must be two finite times t_a < t_b, got (8e-05, 4e-05)"),
+     "[analysis] input_window_s: must be two finite times t_a < t_b, got (8e-05, 4e-05)"),
     ("retrieved_window_s = 1.0e-4, nan",
-     "retrieved_window_s must be two finite times t_a < t_b, got (0.0001, nan)"),
+     "[analysis] retrieved_window_s: must be two finite times t_a < t_b, got (0.0001, nan)"),
     ("guard_s = 1.0", "guard_s = 1.0 s leaves no input window: the input phase lasts 5e-05 s"),
     ("input_window_s = 3.3e-5, 7.5e-5\nguard_s = 7.0e-5",
      "guard_s = 7e-05 s leaves no readout window: the readout phase lasts 6e-05 s"),
@@ -472,7 +536,7 @@ def test_jobs_below_one_rejected(tmp_path, small_config, capsys, flag):
     argv = ["spectroscopy", "--config", str(small_config), "--out", str(tmp_path / "o")]
     code = main(argv + ["--jobs", flag])
     assert code == 1
-    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert f"jobs must be an integer >= 1, got {flag}\n" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

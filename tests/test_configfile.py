@@ -1,3 +1,4 @@
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -7,12 +8,26 @@ import pytest
 
 from lightstore.atom import transmission_spectrum
 from lightstore.configfile import (
+    _FORMAT,
+    StudyDefaults,
     _make_parser,
     default_config,
     dump_config,
     load_config,
 )
-from lightstore.model import ConfigurationError
+from lightstore.model import (
+    NON_NEGATIVE,
+    ConfigurationError,
+    ExperimentConfig,
+    FieldConfig,
+    LevelScheme,
+    LightShiftModel,
+    MagneticEnvironment,
+    PulseSequence,
+    ShiftCoupling,
+    declared_domains,
+)
+from lightstore.orchestrator import StudyPlan
 from lightstore.storage import simulate_storage
 
 
@@ -141,7 +156,19 @@ def test_bad_grid_rejected(tmp_path):
 def test_non_finite_grid_rejected(tmp_path, key, values):
     path = tmp_path / "grid.cfg"
     path.write_text(f"[study]\n{key} = {values}\n")
-    with pytest.raises(ConfigurationError, match=f"{key} has a non-finite value"):
+    domain = ">= 0 and finite" if "intensity" in key else "finite"
+    got = re.escape(repr(tuple(float(v) for v in values.split(", "))))
+    with pytest.raises(ConfigurationError, match=rf"^\[study\] {key}: must be non-empty with "
+                                                 rf"every entry {domain}, got {got}$"):
+        load_config(path)
+
+
+def test_empty_grid_rejected(tmp_path):
+    path = tmp_path / "grid.cfg"
+    path.write_text("[study]\nsignal_intensity_grid =\n")
+    with pytest.raises(ConfigurationError, match=r"^\[study\] signal_intensity_grid: must be "
+                                                 r"non-empty with every entry >= 0 and finite, "
+                                                 r"got \(\)$"):
         load_config(path)
 
 
@@ -342,3 +369,55 @@ def test_every_key_moves_an_output(tmp_path, section, key):
 
 def test_every_move_names_a_dumped_key():
     assert sorted(MOVES) == sorted(PHYSICS_KEYS)
+
+
+# What declares the domains of the keys of each _FORMAT target: the object the
+# target's keys set, or for [plan] the StudyPlan a run snapshot is rebuilt into.
+DECLARING = {
+    "level_scheme": LevelScheme, "control": FieldConfig, "signal": FieldConfig,
+    "magnetic": MagneticEnvironment, "config": ExperimentConfig, "light_shift": LightShiftModel,
+    "durations": PulseSequence.standard, "study": StudyDefaults, "plan": StudyPlan,
+}
+# [clebsch_weights] keys are the transitions, each amplitude checked finite by
+# LevelScheme under its key; "couplings" holds ShiftCoupling entries, whose
+# own fields declare their domains
+FORMAT_KEYS = [(section, key) for section, (_, keys) in _FORMAT.items() for key in keys or ()]
+
+
+@pytest.mark.parametrize("section,key", FORMAT_KEYS, ids=[f"{s}.{k}" for s, k in FORMAT_KEYS])
+def test_every_key_has_one_declared_domain(section, key):
+    target = _FORMAT[section][0]
+    assert target in DECLARING, f"[{section}] sets {target}, which declares no domains"
+    if key == "couplings":
+        assert sorted(declared_domains(ShiftCoupling)) == ["cg_sq", "detuning_rad"]
+    else:
+        assert key in declared_domains(DECLARING[target]), f"[{section}] {key} has no domain"
+
+
+def _domain_text(section: str, key: str) -> "str | None":
+    domain = declared_domains(DECLARING[_FORMAT[section][0]]).get(key)
+    return domain and domain.text
+
+
+NON_NEGATIVE_KEYS = [(s, k) for s, k in FORMAT_KEYS if _domain_text(s, k) == NON_NEGATIVE.text]
+EDGE_VALUES = (
+    [(section, key, 0.0) for section, key in NON_NEGATIVE_KEYS]
+    + [("experiment", key, value) for key in ("control_leak_fraction", "storage_efficiency")
+       for value in (0.0, 1.0)]
+    + [("magnetic", "b0_gauss", -0.49), ("magnetic", "g_f", -0.5),
+       ("experiment", "delta_r_hz", -3000.0), ("signal", "angle_alpha_rad", -0.5),
+       ("level_scheme", "second_excited_offset_hz", -814.5e6)]
+)
+
+
+@pytest.mark.parametrize("section,key,value", EDGE_VALUES,
+                         ids=[f"{s}.{k}={v}" for s, k, v in EDGE_VALUES])
+def test_a_value_on_the_edge_of_its_domain_loads(tmp_path, section, key, value):
+    path = tmp_path / "edge.cfg"
+    _write_single_key(path, section, key, repr(value))
+    loaded = load_config(path)
+    target = _FORMAT[section][0]
+    holder = {"config": loaded.config, "study": loaded.study}.get(target)
+    if holder is None:
+        holder = getattr(loaded.config, target)
+    assert getattr(holder, key) == value
